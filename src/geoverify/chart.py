@@ -153,11 +153,6 @@ def eval_component(f: Component, p) -> Jet2:
     return out
 
 
-def _eval_matrix_values(entries, p: Point) -> np.ndarray:
-    coords = p.astuple()
-    return np.array([[float(f(*coords)) for f in row] for row in entries])
-
-
 def _eval_matrix_jets(entries, p: Point) -> list[list[Jet2]]:
     jets = point_jets(p)
     out = []
@@ -170,24 +165,28 @@ def _eval_matrix_jets(entries, p: Point) -> list[list[Jet2]]:
     return out
 
 
+def _values(jets: list[list[Jet2]]) -> np.ndarray:
+    return np.array([[j.value for j in row] for row in jets])
+
+
 def metric_at(p) -> np.ndarray:
     """Coordinate metric matrix (4x4) at p."""
-    return _eval_matrix_values(_METRIC, as_point(p))
+    return _values(metric_jets(p))
 
 
 def inverse_metric_at(p) -> np.ndarray:
     """Coordinate inverse metric matrix (4x4) at p."""
-    return _eval_matrix_values(_INVERSE_METRIC, as_point(p))
+    return _values(inverse_metric_jets(p))
 
 
 def frame_matrix(p) -> np.ndarray:
     """Rows are the coordinate components of e1..e4 at p."""
-    return _eval_matrix_values(_FRAME, as_point(p))
+    return _values(frame_jets(p))
 
 
 def coframe_matrix(p) -> np.ndarray:
     """Rows are the covector components of th1..th4 at p."""
-    return _eval_matrix_values(_COFRAME, as_point(p))
+    return _values(coframe_jets(p))
 
 
 def metric_jets(p) -> list[list[Jet2]]:

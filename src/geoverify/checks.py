@@ -1,11 +1,14 @@
 """Named verification checks with deterministic sampling and reports.
 
-Each registered check certifies one quantitative claim about the
-geometry by sweeping residuals over sampled points and reporting the
-worst value found.  A check passes when its ``max_residual`` is below
-the configured threshold; checks whose claim is an *inequality* (a
-witness must exceed some margin) report 0.0 when the claim holds and
-1.0 when it does not, so the same pass rule applies.
+Each registered check samples its points once and returns its claims:
+per-point residuals with the points they were measured at.  A ``zero``
+claim needs every residual below the threshold; an ``exceeds`` claim (an
+inequality) needs its best witness to beat a margin.  :func:`_reduce`
+turns the claims into ``max_residual`` and the sampled witness point: a
+failed inequality contributes 1.0 at its best witness, and any
+non-finite residual decides the report (the first one, claims in
+order, points in sampling order), so that the check fails.  A check
+passes when its ``max_residual`` is below the threshold.
 
 Sampling is counter-based: the stream for point ``i`` of check ``name``
 is seeded by (seed, name, i), so reports are reproducible and adding a
@@ -15,10 +18,11 @@ check never perturbs another check's points.
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import astuple, dataclass, field
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +73,8 @@ class Box:
             (self.tmin, self.tmax),
         ]
         for lo, hi in pairs:
-            if not lo <= hi:
-                raise ConfigError(f"empty sampling interval [{lo}, {hi}]")
+            if not -math.inf < lo <= hi < math.inf:
+                raise ConfigError(f"sampling interval [{lo}, {hi}] must be finite and non-empty")
         if not self.tmin > 0.0:
             raise ConfigError(f"sampling box must respect t > 0, got tmin = {self.tmin}")
 
@@ -93,9 +97,11 @@ class RunConfig:
     def validate(self):
         if self.points < 1:
             raise ConfigError(f"points must be >= 1, got {self.points}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         self.box.validate()
+        if self.soliton_params is not None and not np.all(np.isfinite(astuple(self.soliton_params))):
+            raise ConfigError(f"soliton constants and lambda must be finite, got {self.soliton_params}")
 
 
 @dataclass(frozen=True)
@@ -147,57 +153,76 @@ def _sample_params(cfg: RunConfig, name: str, index: int, require_c123: bool = F
     return SolitonParams(*c)
 
 
-class _Tracker:
-    """Running maximum with the point that attained it."""
+class _Claim(NamedTuple):
+    """Per-point residuals of one sub-claim; ``margin`` is None for a ``zero`` claim."""
 
-    def __init__(self):
-        self.max_residual = 0.0
-        self.witness = (0.0, 0.0, 0.0, 1.0)
+    residuals: Sequence[float]
+    points: Sequence[Point]
+    margin: Optional[float] = None
 
-    def update(self, value: float, p: Point):
-        if value >= self.max_residual:
-            self.max_residual = float(value)
-            self.witness = p.astuple()
+
+def _zero(residuals, points) -> _Claim:
+    return _Claim(residuals, points)
+
+
+def _exceeds(residuals, points, margin: float = 1e-3) -> _Claim:
+    return _Claim(residuals, points, margin)
+
+
+def _reduce(claims: Sequence[_Claim]) -> tuple[float, Point]:
+    """The report's ``max_residual`` and the sampled point that attained it."""
+    worst, witness = 0.0, claims[0].points[0]
+    for c in claims:
+        r = np.asarray(c.residuals, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(r))
+        if bad.size:  # a non-finite residual decides the report
+            return float(r[bad[0]]), c.points[bad[0]]
+        if c.margin is None:
+            i = len(r) - 1 - int(np.argmax(r[::-1]))  # the last maximum
+            value = float(r[i])
+        else:
+            i = int(np.argmax(r))
+            if r[i] > c.margin:
+                continue
+            value = 1.0
+        if value >= worst:  # ties go to the later contribution
+            worst, witness = value, c.points[i]
+    return worst, witness
+
+
+def _sample_points(cfg: RunConfig, name: str) -> list[Point]:
+    return [_sample_point(cfg, name, i) for i in range(cfg.points)]
+
+
+def _pointwise(cfg: RunConfig, name: str, residual: Callable[[int, Point], float], evals_per_point: int = 1):
+    """A single ``zero`` claim: ``residual(i, p)`` at every sampled point of the check."""
+    pts = _sample_points(cfg, name)
+    return evals_per_point * cfg.points, [_zero([residual(i, p) for i, p in enumerate(pts)], pts)]
 
 
 def _check_lemma1(cfg: RunConfig):
-    tr = _Tracker()
-    for i in range(cfg.points):
-        p = _sample_point(cfg, "lemma1", i)
-        tr.update(np.max(np.abs(frame_connection(p) - tables.CONNECTION_TABLE)), p)
-    return cfg.points, tr
+    return _pointwise(cfg, "lemma1", lambda i, p: np.max(np.abs(frame_connection(p) - tables.CONNECTION_TABLE)))
 
 
 def _check_lemma2(cfg: RunConfig):
-    tr = _Tracker()
-    for i in range(cfg.points):
-        p = _sample_point(cfg, "lemma2", i)
-        err = max(
-            float(np.max(np.abs(ricci_frame(p) - tables.RICCI_FRAME))),
-            abs(scalar_curvature(p) - tables.SCALAR_CURVATURE),
-        )
-        tr.update(err, p)
-    return cfg.points, tr
+    def residual(i, p):
+        ricci_err = np.max(np.abs(ricci_frame(p) - tables.RICCI_FRAME))
+        return np.maximum(ricci_err, abs(scalar_curvature(p) - tables.SCALAR_CURVATURE))
+
+    return _pointwise(cfg, "lemma2", residual)
 
 
 def _check_riemc(cfg: RunConfig):
     expected = tables.full_curvature_tensor()
-    tr = _Tracker()
-    for i in range(cfg.points):
-        p = _sample_point(cfg, "riemc", i)
-        tr.update(np.max(np.abs(riemann_frame_table(p) - expected)), p)
-    return cfg.points, tr
+    return _pointwise(cfg, "riemc", lambda i, p: np.max(np.abs(riemann_frame_table(p) - expected)))
 
 
 def _check_theorem1(cfg: RunConfig):
-    tr = _Tracker()
-    for i in range(cfg.points):
-        p = _sample_point(cfg, "theorem1", i)
+    def residual(i, p):
         params = cfg.soliton_params or _sample_params(cfg, "theorem1", i)
-        xi = soliton.soliton_field(params)
-        res = soliton.soliton_residual(xi, params.lam, p)
-        tr.update(np.max(np.abs(res)), p)
-    return cfg.points, tr
+        return np.max(np.abs(soliton.soliton_residual(soliton.soliton_field(params), params.lam, p)))
+
+    return _pointwise(cfg, "theorem1", residual)
 
 
 def _grid_points(box: Box, n: int = 5):
@@ -210,13 +235,10 @@ def _grid_points(box: Box, n: int = 5):
 
 
 def _check_nongradient(cfg: RunConfig):
-    tr = _Tracker()
+    pts = _sample_points(cfg, "nongradient")
     # exact closedness defect of the c3 member: (d xi-flat)_st = 1/(2 t^3)
     xi3 = soliton.soliton_field(SolitonParams(c3=1.0))
-    for i in range(cfg.points):
-        p = _sample_point(cfg, "nongradient", i)
-        d = soliton.closedness_defect(xi3, p)
-        tr.update(abs(d[5] - 1.0 / (2.0 * p.t**3)), p)
+    claims = [_zero([abs(soliton.closedness_defect(xi3, p)[5] - 1.0 / (2.0 * p.t**3)) for p in pts], pts)]
 
     # every sampled member with (c1,c2,c3) != 0 must fail closedness somewhere
     # on the grid; the defect is affine in the constants, so evaluate a basis
@@ -232,22 +254,16 @@ def _check_nongradient(cfg: RunConfig):
     for j in range(n_params):
         params = _sample_params(cfg, "nongradient", j, require_c123=True)
         d = defect0 + np.tensordot(np.array(params.constants()), ddefect, axes=1)
-        best = int(np.argmax(np.max(np.abs(d), axis=1)))
-        witness_defect = float(np.max(np.abs(d[best])))
-        if witness_defect <= 1e-3:
-            tr.update(1.0, grid[best])
-    return cfg.points + len(grid), tr
+        claims.append(_exceeds(np.max(np.abs(d), axis=1), grid))
+    return cfg.points + len(grid), claims
 
 
 def _check_harmonic_components(cfg: RunConfig):
-    tr = _Tracker()
-    for i in range(cfg.points):
-        p = _sample_point(cfg, "harmonic-components", i)
+    def residual(i, p):
         params = cfg.soliton_params or _sample_params(cfg, "harmonic-components", i)
-        xi = soliton.soliton_field(params)
-        err = max(abs(soliton.scalar_laplacian(f, p)) for f in xi.components)
-        tr.update(err, p)
-    return cfg.points, tr
+        return np.max(np.abs([soliton.scalar_laplacian(f, p) for f in soliton.soliton_field(params).components]))
+
+    return _pointwise(cfg, "harmonic-components", residual)
 
 
 def _polynomial_field(coeffs: np.ndarray):
@@ -263,15 +279,12 @@ def _polynomial_field(coeffs: np.ndarray):
 
 def _check_theorem3(cfg: RunConfig):
     weights = np.array([1.0, 1.0, 2.0, 2.0])
-    tr = _Tracker()
-    for i in range(cfg.points):
-        p = _sample_point(cfg, "theorem3", i)
-        coeffs = _rng(cfg.seed, "theorem3/fields", i).uniform(-1.0, 1.0, (4, 6))
-        X = _polynomial_field(coeffs)
-        lap = harmonic.rough_laplacian(X, p)
-        eqs = harmonic.harmonic_section_equations(X, p)
-        tr.update(np.max(np.abs(lap - weights * eqs)), p)
-    return cfg.points, tr
+
+    def residual(i, p):
+        X = _polynomial_field(_rng(cfg.seed, "theorem3/fields", i).uniform(-1.0, 1.0, (4, 6)))
+        return np.max(np.abs(harmonic.rough_laplacian(X, p) - weights * harmonic.harmonic_section_equations(X, p)))
+
+    return _pointwise(cfg, "theorem3", residual)
 
 
 def _perturbed_power_field(slot: int, exponent: float):
@@ -282,82 +295,58 @@ def _perturbed_power_field(slot: int, exponent: float):
 
 
 def _check_corollary(cfg: RunConfig):
-    tr = _Tracker()
-    pts = [_sample_point(cfg, "corollary", i) for i in range(cfg.points)]
-    count = 0
-    for fam_index in (1, 2, 3, 4):
-        for i, p in enumerate(pts):
-            c1, c2 = _rng(cfg.seed, f"corollary/c{fam_index}", i).uniform(-3.0, 3.0, 2)
-            X = corollary_field(CorollaryFamily(fam_index, c1, c2))
-            tr.update(np.max(np.abs(harmonic.harmonic_section_residual(X, p))), p)
-            count += 1
-
+    pts = _sample_points(cfg, "corollary")
     # the power-law exponents are forced: a shifted exponent must leave a
     # visible residual somewhere
-    for slot in (3, 4):
-        for exponent in (harmonic.EXPONENT_PLUS, harmonic.EXPONENT_MINUS):
-            X = _perturbed_power_field(slot, exponent + 0.01)
-            worst = 0.0
-            worst_p = pts[0]
-            for p in pts:
-                r = float(np.max(np.abs(harmonic.harmonic_section_residual(X, p))))
-                if r > worst:
-                    worst, worst_p = r, p
-                count += 1
-            if worst <= 1e-3:
-                tr.update(1.0, worst_p)
-    return count, tr
+    shifted = [
+        _perturbed_power_field(slot, exponent + 0.01)
+        for slot in (3, 4)
+        for exponent in (harmonic.EXPONENT_PLUS, harmonic.EXPONENT_MINUS)
+    ]
+    res = np.empty((4 + len(shifted), len(pts)))  # [field, point]: families 1..4, then shifted
+    for i, p in enumerate(pts):
+        families = [
+            corollary_field(CorollaryFamily(k, *_rng(cfg.seed, f"corollary/c{k}", i).uniform(-3.0, 3.0, 2)))
+            for k in (1, 2, 3, 4)
+        ]
+        for row, X in enumerate(families + shifted):
+            res[row, i] = np.max(np.abs(harmonic.harmonic_section_residual(X, p)))
+    return res.size, [_zero(r, pts) for r in res[:4]] + [_exceeds(r, pts) for r in res[4:]]
 
 
 def _check_harmonic_map_witnesses(cfg: RunConfig):
-    tr = _Tracker()
-    pts = [_sample_point(cfg, "harmonic-map-witnesses", i) for i in range(cfg.points)]
-    count = 0
-
+    pts = _sample_points(cfg, "harmonic-map-witnesses")
     zero_field = constant_frame_field([0.0, 0.0, 0.0, 0.0])
-    for p in pts[: min(10, len(pts))]:
-        tv = harmonic.harmonic_map_residual(zero_field, p)
-        tr.update(tv.max_component(), p)
-        count += 1
-
+    n_zero = min(10, len(pts))
     witnesses = [corollary_field(CorollaryFamily(k, 1.0, 0.0)) for k in (1, 2, 3, 4)]
     witnesses += [corollary_field(CorollaryFamily(k, 0.0, 1.0)) for k in (1, 2, 3, 4)]
     witnesses += [constant_frame_field(np.eye(4)[k]) for k in range(4)]
-    for X in witnesses:
-        best = 0.0
-        best_p = pts[0]
-        for p in pts:
-            mag = harmonic.harmonic_map_residual(X, p).max_component()
-            if mag > best:
-                best, best_p = mag, p
-            count += 1
-        if best <= 1e-3:  # this field would wrongly pass as a harmonic map
-            tr.update(1.0, best_p)
 
-    # expanded quadratic identity for the last tension component
+    mags = np.empty((len(witnesses), len(pts)))  # [witness, point]
+    zero_res, quad_res = np.empty(n_zero), np.empty(len(pts))
     for i, p in enumerate(pts):
+        if i < n_zero:
+            zero_res[i] = harmonic.harmonic_map_residual(zero_field, p).max_component()
+        for w, X in enumerate(witnesses):
+            mags[w, i] = harmonic.harmonic_map_residual(X, p).max_component()
+        # expanded quadratic identity for the last tension component
         comp = _rng(cfg.seed, "harmonic-map-witnesses/const", i).uniform(-2.0, 2.0, 4)
-        X = constant_frame_field(comp)
-        t4 = harmonic.horizontal_tension(X, p)[3]
+        t4 = harmonic.horizontal_tension(constant_frame_field(comp), p)[3]
         expected = 2 * comp[0] ** 2 + 2 * comp[1] ** 2 + 8 * comp[2] ** 2 + 8 * comp[3] ** 2
-        tr.update(abs(t4 - expected), p)
-        count += 1
-    return count, tr
+        quad_res[i] = abs(t4 - expected)
+
+    # a witness at or below the margin would wrongly pass as a harmonic map
+    claims = [_zero(zero_res, pts[:n_zero])] + [_exceeds(m, pts) for m in mags] + [_zero(quad_res, pts)]
+    return n_zero + mags.size + len(pts), claims
 
 
 def _check_coercivity(cfg: RunConfig):
-    tr = _Tracker()
-    count = 0
-    for i in range(cfg.points):
-        p = _sample_point(cfg, "coercivity", i)
+    def residual(i, p):
         vs = _rng(cfg.seed, "coercivity/vectors", i).uniform(-3.0, 3.0, (10, 4))
-        for row in vs:
-            v = FrameVector(row)
-            got = coercivity_check(p, v, soliton.SOLITON_LAMBDA)
-            expected = 6.0 * (row[0] ** 2 + row[1] ** 2)
-            tr.update(abs(got - expected), p)
-            count += 1
-    return count, tr
+        got = [coercivity_check(p, FrameVector(v), soliton.SOLITON_LAMBDA) for v in vs]
+        return np.max([abs(g - 6.0 * (v[0] ** 2 + v[1] ** 2)) for g, v in zip(got, vs)])
+
+    return _pointwise(cfg, "coercivity", residual, evals_per_point=10)
 
 
 _REGISTRY: dict[str, Callable] = {
@@ -382,15 +371,16 @@ def run_suite(name: str, cfg: RunConfig) -> CheckReport:
         raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     cfg.validate()
     start = time.perf_counter()
-    sampled, tracker = _REGISTRY[name](cfg)
+    sampled, claims = _REGISTRY[name](cfg)
+    worst, witness = _reduce(claims)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return CheckReport(
         check_name=name,
         points_sampled=sampled,
-        max_residual=tracker.max_residual,
+        max_residual=worst,
         threshold=cfg.tol,
-        passed=tracker.max_residual < cfg.tol,
-        witness_point=tracker.witness,
+        passed=math.isfinite(worst) and worst < cfg.tol,
+        witness_point=witness.astuple(),
         elapsed_ms=elapsed_ms,
     )
 

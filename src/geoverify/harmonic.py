@@ -70,7 +70,7 @@ class TensionValue:
     vertical: np.ndarray
 
     def max_component(self) -> float:
-        return float(max(np.max(np.abs(self.horizontal)), np.max(np.abs(self.vertical))))
+        return float(np.maximum(np.max(np.abs(self.horizontal)), np.max(np.abs(self.vertical))))
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ def _require_st_only(grad: np.ndarray):
         raise NotSTOnly(f"field components depend on x or y (gradient {worst:.3e})")
 
 
-def rough_laplacian(X: AnalyticVectorField, p) -> np.ndarray:
-    """Frame components of the rough Laplacian of X at p."""
-    geo, val, grad, hess = _field_data(X, as_point(p))
+def _rough_laplacian(geo, val, grad, hess) -> np.ndarray:
     E, dE, fc, dfc = geo.E, geo.dE, geo.fc, geo.dfc
 
     eX = E @ grad  # eX[i, k] = e_i(X_k)
@@ -141,6 +139,17 @@ def rough_laplacian(X: AnalyticVectorField, p) -> np.ndarray:
     return second + mixed + conn_deriv + conn_conn - drift
 
 
+def _horizontal_tension(geo, val, grad, _hess) -> np.ndarray:
+    eX = geo.E @ grad
+    A = eX + np.einsum("m,imb->ib", val, geo.fc)  # A[i,b] = (nabla_{e_i} X)_b
+    return np.einsum("a,ib,abik->k", val, A, geo.Rfr)
+
+
+def rough_laplacian(X: AnalyticVectorField, p) -> np.ndarray:
+    """Frame components of the rough Laplacian of X at p."""
+    return _rough_laplacian(*_field_data(X, as_point(p)))
+
+
 def harmonic_section_residual(X: AnalyticVectorField, p) -> np.ndarray:
     """Rough Laplacian of an (s,t)-dependent field; zero iff X is a harmonic section.
 
@@ -149,7 +158,7 @@ def harmonic_section_residual(X: AnalyticVectorField, p) -> np.ndarray:
     """
     geo, val, grad, hess = _field_data(X, as_point(p))
     _require_st_only(grad)
-    return rough_laplacian(X, p)
+    return _rough_laplacian(geo, val, grad, hess)
 
 
 def harmonic_section_equations(X: AnalyticVectorField, p) -> np.ndarray:
@@ -176,10 +185,7 @@ def harmonic_section_equations(X: AnalyticVectorField, p) -> np.ndarray:
 
 def horizontal_tension(X: AnalyticVectorField, p) -> np.ndarray:
     """Frame components of sum_i R(X, nabla_{e_i} X) e_i at p."""
-    geo, val, grad, _ = _field_data(X, as_point(p))
-    eX = geo.E @ grad
-    A = eX + np.einsum("m,imb->ib", val, geo.fc)  # A[i,b] = (nabla_{e_i} X)_b
-    return np.einsum("a,ib,abik->k", val, A, geo.Rfr)
+    return _horizontal_tension(*_field_data(X, as_point(p)))
 
 
 def horizontal_tension_expanded(X: AnalyticVectorField, p) -> np.ndarray:
@@ -235,4 +241,5 @@ def horizontal_tension_expanded(X: AnalyticVectorField, p) -> np.ndarray:
 
 def harmonic_map_residual(X: AnalyticVectorField, p) -> TensionValue:
     """Both tension parts of X as a map into the tangent bundle at p."""
-    return TensionValue(horizontal_tension(X, p), rough_laplacian(X, p))
+    data = _field_data(X, as_point(p))
+    return TensionValue(_horizontal_tension(*data), _rough_laplacian(*data))

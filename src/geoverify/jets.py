@@ -104,6 +104,8 @@ class Jet2:
     def __pow__(self, r):
         r = float(r)
         v = self.value
+        if not math.isfinite(r):
+            raise DomainError(f"non-finite exponent {r}")
         if r == int(r):
             n = int(r)
             if v == 0.0 and n < 2:

@@ -58,7 +58,7 @@ def test_criterion_01_connection_table():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        worst = max(worst, float(np.max(np.abs(frame_connection(rand_point(rng)) - CONNECTION_TABLE))))
+        worst = np.maximum(worst, float(np.max(np.abs(frame_connection(rand_point(rng)) - CONNECTION_TABLE))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 1.0
     report(1, "connection table", ok, f"max err {worst:.2e} (tol 1e-9), {elapsed:.2f} s (< 1 s)")
@@ -72,8 +72,8 @@ def test_criterion_02_ricci_matrix():
     worst_scalar = 0.0
     for _ in range(100):
         p = rand_point(rng)
-        worst = max(worst, float(np.max(np.abs(ricci_frame(p) - RICCI_FRAME))))
-        worst_scalar = max(worst_scalar, abs(scalar_curvature(p) - SCALAR_CURVATURE))
+        worst = np.maximum(worst, float(np.max(np.abs(ricci_frame(p) - RICCI_FRAME))))
+        worst_scalar = np.maximum(worst_scalar, abs(scalar_curvature(p) - SCALAR_CURVATURE))
     ok = worst < 1e-9 and worst_scalar < 1e-9
     report(2, "Ricci diag(0,0,-6,-6)", ok, f"matrix err {worst:.2e}, scalar err {worst_scalar:.2e} (tol 1e-9)")
     assert ok
@@ -84,7 +84,7 @@ def test_criterion_03_curvature_table():
     expected = full_curvature_tensor()
     worst = 0.0
     for _ in range(100):
-        worst = max(worst, float(np.max(np.abs(riemann_frame_table(rand_point(rng)) - expected))))
+        worst = np.maximum(worst, float(np.max(np.abs(riemann_frame_table(rand_point(rng)) - expected))))
     ok = worst < 1e-9
     report(3, "curvature table", ok, f"listed + vanishing components err {worst:.2e} (tol 1e-9)")
     assert ok
@@ -97,13 +97,13 @@ def test_criterion_04_soliton_family():
     for _ in range(20):
         xi = soliton_field(SolitonParams(*rng.uniform(-3, 3, 5)))
         for p in pts:
-            worst = max(worst, float(np.max(np.abs(soliton_residual(xi, SOLITON_LAMBDA, p)))))
+            worst = np.maximum(worst, float(np.max(np.abs(soliton_residual(xi, SOLITON_LAMBDA, p)))))
     shift_err = 0.0
     xi = soliton_field(SolitonParams(*rng.uniform(-3, 3, 5)))
     for lam in (0.0, -5.0, -7.0):
         for p in pts[:10]:
             res44 = abs(soliton_residual(xi, lam, p)[3, 3])
-            shift_err = max(shift_err, abs(res44 - abs(lam + 6.0)))
+            shift_err = np.maximum(shift_err, abs(res44 - abs(lam + 6.0)))
     ok = worst < 1e-8 and shift_err < 1e-8
     report(4, "soliton family, lambda = -6", ok, f"residual {worst:.2e} (tol 1e-8), lambda-shift err {shift_err:.2e}")
     assert ok
@@ -115,7 +115,7 @@ def test_criterion_05_non_gradient():
     worst = 0.0
     for _ in range(100):
         p = rand_point(rng)
-        worst = max(worst, abs(closedness_defect(xi3, p)[5] - 1.0 / (2.0 * p.t**3)))
+        worst = np.maximum(worst, abs(closedness_defect(xi3, p)[5] - 1.0 / (2.0 * p.t**3)))
 
     grid = grid_points()
     base = soliton_field(SolitonParams())
@@ -132,7 +132,7 @@ def test_criterion_05_non_gradient():
         while np.max(np.abs(c[:3])) < 0.1:
             c = rng.uniform(-3, 3, 5)
         d = defect0 + np.tensordot(c, ddefect, axes=1)
-        min_witness = min(min_witness, float(np.max(np.abs(d))))
+        min_witness = np.minimum(min_witness, float(np.max(np.abs(d))))
     ok = worst < 1e-9 and min_witness > 1e-3
     report(
         5,
@@ -151,7 +151,7 @@ def test_criterion_06_harmonic_components():
         xi = soliton_field(SolitonParams(*rng.uniform(-3, 3, 5)))
         for p in pts:
             for f in xi.components:
-                worst = max(worst, abs(scalar_laplacian(f, p)))
+                worst = np.maximum(worst, abs(scalar_laplacian(f, p)))
     ok = worst < 1e-8
     report(6, "harmonic components", ok, f"max |Lap xi_j| {worst:.2e} (tol 1e-8)")
     assert ok
@@ -164,7 +164,7 @@ def test_criterion_07_coercivity():
         p = rand_point(rng)
         v = FrameVector(rng.uniform(-3, 3, 4))
         got = coercivity_check(p, v, -6.0)
-        worst = max(worst, abs(got - 6.0 * (v.comp[0] ** 2 + v.comp[1] ** 2)))
+        worst = np.maximum(worst, abs(got - 6.0 * (v.comp[0] ** 2 + v.comp[1] ** 2)))
     ok = worst < 1e-9
     report(7, "coercivity identity", ok, f"max err {worst:.2e} (tol 1e-9)")
     assert ok
@@ -178,7 +178,7 @@ def test_criterion_08_harmonic_sections():
         for _ in range(20):
             X = corollary_field(CorollaryFamily(index, float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))))
             for p in pts:
-                worst = max(worst, float(np.max(np.abs(harmonic_section_residual(X, p)))))
+                worst = np.maximum(worst, float(np.max(np.abs(harmonic_section_residual(X, p)))))
 
     weakest = np.inf
     for slot in (3, 4):
@@ -186,8 +186,8 @@ def test_criterion_08_harmonic_sections():
             comps = [lambda x, y, s, t: 0.0] * 4
             comps[slot - 1] = lambda x, y, s, t, a=a: t ** (a + 0.01)
             X = coordinate_field(*comps)
-            best = max(float(np.max(np.abs(harmonic_section_residual(X, p)))) for p in pts)
-            weakest = min(weakest, best)
+            best = np.max([np.max(np.abs(harmonic_section_residual(X, p))) for p in pts])
+            weakest = np.minimum(weakest, best)
 
     weights = np.array([1.0, 1.0, 2.0, 2.0])
     eq_err = 0.0
@@ -200,7 +200,7 @@ def test_criterion_08_harmonic_sections():
             )
         )
         p = rand_point(rng)
-        eq_err = max(
+        eq_err = np.maximum(
             eq_err,
             float(np.max(np.abs(rough_laplacian(X, p) - weights * harmonic_section_equations(X, p)))),
         )
@@ -219,15 +219,15 @@ def test_criterion_09_harmonic_map_witnesses():
     rng = np.random.default_rng(109)
     pts = [rand_point(rng) for _ in range(30)]
     zero = constant_frame_field([0.0, 0.0, 0.0, 0.0])
-    zero_mag = max(harmonic_map_residual(zero, p).max_component() for p in pts[:5])
+    zero_mag = np.max([harmonic_map_residual(zero, p).max_component() for p in pts[:5]])
 
     witnesses = [corollary_field(CorollaryFamily(k, 1.0, 0.0)) for k in (1, 2, 3, 4)]
     witnesses += [corollary_field(CorollaryFamily(k, 0.0, 1.0)) for k in (1, 2, 3, 4)]
     witnesses += [constant_frame_field(np.eye(4)[k]) for k in range(4)]
     weakest = np.inf
     for X in witnesses:
-        best = max(harmonic_map_residual(X, p).max_component() for p in pts)
-        weakest = min(weakest, best)
+        best = np.max([harmonic_map_residual(X, p).max_component() for p in pts])
+        weakest = np.minimum(weakest, best)
 
     line4_err = 0.0
     for _ in range(100):
@@ -235,7 +235,7 @@ def test_criterion_09_harmonic_map_witnesses():
         X = constant_frame_field(comp)
         p = rand_point(rng)
         expected = 2 * comp[0] ** 2 + 2 * comp[1] ** 2 + 8 * comp[2] ** 2 + 8 * comp[3] ** 2
-        line4_err = max(line4_err, abs(horizontal_tension(X, p)[3] - expected))
+        line4_err = np.maximum(line4_err, abs(horizontal_tension(X, p)[3] - expected))
 
     ok = zero_mag < 1e-12 and weakest > 1e-3 and line4_err < 1e-9
     report(
@@ -257,17 +257,19 @@ def test_criterion_10_ad_core():
         fh = fd_hessian_richardson(expr, p.astuple())
         rel_g = np.max(np.abs(jet.grad - fg) / np.maximum(1.0, np.abs(fg)))
         rel_h = np.max(np.abs(jet.hess - fh) / np.maximum(1.0, np.abs(fh)))
-        worst_rel = max(worst_rel, float(rel_g), float(rel_h))
+        worst_rel = np.max([worst_rel, rel_g, rel_h])
 
     sym_err = 0.0
     for _ in range(100):
         R = riemann_frame_table(rand_point(rng))
-        sym_err = max(
-            sym_err,
-            float(np.max(np.abs(R + R.transpose(1, 0, 2, 3)))),
-            float(np.max(np.abs(R + R.transpose(0, 1, 3, 2)))),
-            float(np.max(np.abs(R - R.transpose(2, 3, 0, 1)))),
-            float(np.max(np.abs(R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)))),
+        sym_err = np.max(
+            [
+                sym_err,
+                np.max(np.abs(R + R.transpose(1, 0, 2, 3))),
+                np.max(np.abs(R + R.transpose(0, 1, 3, 2))),
+                np.max(np.abs(R - R.transpose(2, 3, 0, 1))),
+                np.max(np.abs(R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3))),
+            ]
         )
     ok = worst_rel < 1e-5 and sym_err < 1e-9
     report(

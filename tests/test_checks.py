@@ -3,12 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from geoverify.chart import Point
 from geoverify.checks import (
     CHECK_NAMES,
     Box,
     ConfigError,
     RunConfig,
     UnknownCheck,
+    _exceeds,
+    _reduce,
+    _sample_point,
+    _zero,
     run_all,
     run_suite,
 )
@@ -62,6 +67,18 @@ def test_config_validation():
         run_suite("lemma2", RunConfig(box=Box(tmin=-0.5)))
     with pytest.raises(ConfigError):
         run_suite("lemma2", RunConfig(box=Box(xmin=2.0, xmax=-2.0)))
+    # non-finite configuration is rejected before anything is sampled
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            run_suite("lemma2", RunConfig(tol=bad))
+        with pytest.raises(ConfigError):
+            run_suite("lemma2", RunConfig(box=Box(tmax=bad)))
+        with pytest.raises(ConfigError):
+            run_suite("lemma2", RunConfig(box=Box(xmin=bad)))
+        with pytest.raises(ConfigError):
+            run_suite("theorem1", RunConfig(soliton_params=SolitonParams(c1=bad)))
+        with pytest.raises(ConfigError):
+            run_suite("theorem1", RunConfig(soliton_params=SolitonParams(lam=bad)))
 
 
 def test_lambda_override_fails_theorem1():
@@ -124,7 +141,64 @@ def test_cli_exit_codes(capsys):
     assert main(["lemma2", "--tol", "-1"]) == 2
     assert main(["lemma2", "--box", "1,2,3"]) == 2
     assert main(["theorem1", "--points", "2", "--lambda", "0"]) == 1
-    capsys.readouterr()
+    assert main(["lemma1", "--box=-2,2,-2,2,-2,2,0.5,inf"]) == 2
+    assert main(["theorem1", "--c", "nan,0,0,0,0"]) == 2
+    assert main(["theorem1", "--lambda", "inf"]) == 2
+    assert main(["lemma2", "--tol", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 7
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_fails_at_first_offending_point(capsys):
+    # t ~ 1e200 overflows the metric jets to NaN at every sampled point
+    box = "-2,2,-2,2,-2,2,1e200,1e201"
+    assert main(["lemma2", f"--box={box}", "--points", "5"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert d["pass"] is False
+    assert not np.isfinite(d["max_residual"])
+    cfg = RunConfig(points=5, box=Box(*map(float, box.split(","))))
+    assert d["witness_point"] == list(_sample_point(cfg, "lemma2", 0).astuple())
+
+
+def _claim_points(n, t=1.0):
+    return [Point(float(i), 0.0, 0.0, t) for i in range(n)]
+
+
+def test_reduce_ties_go_to_the_later_contribution():
+    pts = _claim_points(4)
+    worst, witness = _reduce([_zero([0.0, 3.0, 1.0, 3.0], pts)])
+    assert (worst, witness) == (3.0, pts[3])
+    # across claims too: an equal value in a later claim takes the witness
+    later = _claim_points(2, t=2.0)
+    assert _reduce([_zero([0.0, 3.0, 1.0, 3.0], pts), _zero([3.0, 2.0], later)]) == (3.0, later[0])
+    assert _reduce([_zero([0.0, 0.0], pts[:2])]) == (0.0, pts[1])
+
+
+def test_reduce_failed_inequality_reports_one_at_its_argmax():
+    pts = _claim_points(4)
+    # best witness 5e-4 does not beat the 1e-3 margin: 1.0 at the first argmax
+    assert _reduce([_zero([1e-12] * 4, pts), _exceeds([1e-4, 5e-4, 2e-4, 5e-4], pts)]) == (1.0, pts[1])
+    # a passed inequality contributes nothing
+    assert _reduce([_zero([0.0, 2e-12, 1e-12, 0.0], pts), _exceeds([1e-4, 2.0, 0.0, 0.0], pts)]) == (2e-12, pts[1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reduce_non_finite_in_zero_claim_fails_at_first_offending_point(bad):
+    pts = _claim_points(5)
+    worst, witness = _reduce([_exceeds([1.0] * 5, pts), _zero([1e-12, 7.0, bad, 0.0, bad], pts)])
+    assert witness == pts[2]
+    assert np.array_equal(worst, bad, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reduce_non_finite_in_exceeds_claim_fails_at_first_offending_point(bad):
+    pts = _claim_points(4)
+    # the finite values alone would pass the inequality
+    worst, witness = _reduce([_zero([0.0] * 4, pts), _exceeds([1.0, bad, 2.0, bad], pts)])
+    assert witness == pts[1]
+    assert np.array_equal(worst, bad, equal_nan=True)
 
 
 def test_cli_json_file(tmp_path, capsys):

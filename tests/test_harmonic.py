@@ -192,3 +192,31 @@ def test_every_witness_fails_as_harmonic_map():
     for X in witnesses:
         worst = max(harmonic_map_residual(X, p).max_component() for p in pts)
         assert worst > 1e-3
+
+
+def test_residual_wrappers_match_and_evaluate_the_field_once(monkeypatch):
+    import geoverify.harmonic as harmonic
+
+    rng = np.random.default_rng(51)
+    fields = [random_st_polynomial_field(rng), corollary_field(CorollaryFamily(2, 0.7, -1.3))]
+    pts = [rand_point(rng) for _ in range(5)]
+    for X in fields:
+        for p in pts:
+            lap = rough_laplacian(X, p)
+            assert np.array_equal(harmonic_section_residual(X, p), lap)
+            tv = harmonic_map_residual(X, p)
+            assert np.array_equal(tv.horizontal, horizontal_tension(X, p))
+            assert np.array_equal(tv.vertical, lap)
+
+    calls = []
+    field_data = harmonic._field_data
+
+    def counting_field_data(X, p):
+        calls.append(p)
+        return field_data(X, p)
+
+    monkeypatch.setattr(harmonic, "_field_data", counting_field_data)
+    for residual in (rough_laplacian, harmonic_section_residual, horizontal_tension, harmonic_map_residual):
+        calls.clear()
+        residual(fields[0], pts[0])
+        assert len(calls) == 1, residual.__name__

@@ -86,6 +86,13 @@ def test_domain_errors():
         sqrt(-3.0)
 
 
+def test_non_finite_exponent_is_a_domain_error():
+    t = seed((0.0, 0.0, 0.0, 2.0), 3)
+    for r in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError, match="non-finite exponent"):
+            _ = t**r
+
+
 def test_integer_powers_at_zero():
     z = constant(0.0)
     assert (z**0).value == 1.0
