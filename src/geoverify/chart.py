@@ -32,7 +32,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .jets import DomainError, Jet2, constant, point_jets, sqrt
+from .jets import NVARS, DomainError, Jet2, point_jets, sqrt
 
 __all__ = [
     "Point",
@@ -145,64 +145,79 @@ _INVERSE_METRIC: tuple[tuple[Component, ...], ...] = (
 )
 
 
-def eval_component(f: Component, p) -> Jet2:
-    """Evaluate a component function to a full 2-jet at p."""
-    out = f(*point_jets(as_point(p)))
-    if not isinstance(out, Jet2):
-        out = constant(float(out))
-    return out
+_JetArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # (val, grad, hess), derivative indices first
 
 
-def _eval_matrix_jets(entries, p: Point) -> list[list[Jet2]]:
-    jets = point_jets(p)
-    out = []
-    for row in entries:
-        jrow = []
-        for f in row:
-            v = f(*jets)
-            jrow.append(v if isinstance(v, Jet2) else constant(float(v)))
-        out.append(jrow)
-    return out
+def _jets(entries, p) -> _JetArrays:
+    """Evaluate one closed form, a 4-vector or a 4x4 grid of them at p.
+
+    Returns ``(val, grad, hess)`` with ``val`` shaped like ``entries``,
+    ``grad[m, ...] = d_m entry`` and ``hess[m, n, ...] = d_m d_n entry``.
+    """
+    table = np.array(entries, dtype=object)
+    xyst = point_jets(as_point(p))
+    n = table.size
+    val, grad, hess = np.zeros(n), np.zeros((NVARS, n)), np.zeros((NVARS, NVARS, n))
+    for k, f in enumerate(table.flat):
+        jet = f(*xyst)
+        if isinstance(jet, Jet2):
+            val[k], grad[:, k], hess[:, :, k] = jet.value, jet.grad, jet.hess
+        else:
+            val[k] = jet
+    shape = table.shape
+    return val.reshape(shape), grad.reshape((NVARS,) + shape), hess.reshape((NVARS, NVARS) + shape)
 
 
-def _values(jets: list[list[Jet2]]) -> np.ndarray:
-    return np.array([[j.value for j in row] for row in jets])
+def _apply(A: _JetArrays, x: _JetArrays) -> _JetArrays:
+    """Jets of A @ x: the product rule for each A_ij x_j, summed over j last to keep hess symmetric."""
+    (a, da, d2a), (v, dv, d2v) = A, x
+    cross = da[:, None] * dv[None, :, None, :]  # [m, n, i, j] = d_m A_ij d_n x_j
+    return (
+        (a * v).sum(-1),
+        (a * dv[:, None, :] + v * da).sum(-1),
+        (a * d2v[:, :, None, :] + v * d2a + (cross + cross.transpose(1, 0, 2, 3))).sum(-1),
+    )
+
+
+def eval_component(f: Component, p) -> _JetArrays:
+    """Evaluate a component function at p: value, gradient (4,) and Hessian (4, 4)."""
+    return _jets(f, p)
 
 
 def metric_at(p) -> np.ndarray:
     """Coordinate metric matrix (4x4) at p."""
-    return _values(metric_jets(p))
+    return metric_jets(p)[0]
 
 
 def inverse_metric_at(p) -> np.ndarray:
     """Coordinate inverse metric matrix (4x4) at p."""
-    return _values(inverse_metric_jets(p))
+    return inverse_metric_jets(p)[0]
 
 
 def frame_matrix(p) -> np.ndarray:
     """Rows are the coordinate components of e1..e4 at p."""
-    return _values(frame_jets(p))
+    return frame_jets(p)[0]
 
 
 def coframe_matrix(p) -> np.ndarray:
     """Rows are the covector components of th1..th4 at p."""
-    return _values(coframe_jets(p))
+    return coframe_jets(p)[0]
 
 
-def metric_jets(p) -> list[list[Jet2]]:
-    return _eval_matrix_jets(_METRIC, as_point(p))
+def metric_jets(p) -> _JetArrays:
+    return _jets(_METRIC, p)
 
 
-def inverse_metric_jets(p) -> list[list[Jet2]]:
-    return _eval_matrix_jets(_INVERSE_METRIC, as_point(p))
+def inverse_metric_jets(p) -> _JetArrays:
+    return _jets(_INVERSE_METRIC, p)
 
 
-def frame_jets(p) -> list[list[Jet2]]:
-    return _eval_matrix_jets(_FRAME, as_point(p))
+def frame_jets(p) -> _JetArrays:
+    return _jets(_FRAME, p)
 
 
-def coframe_jets(p) -> list[list[Jet2]]:
-    return _eval_matrix_jets(_COFRAME, as_point(p))
+def coframe_jets(p) -> _JetArrays:
+    return _jets(_COFRAME, p)
 
 
 def frame_at(p) -> tuple[CoordVector, CoordVector, CoordVector, CoordVector]:
@@ -246,38 +261,29 @@ class AnalyticVectorField:
         if len(self.components) != 4:
             raise ValueError("a vector field needs exactly 4 components")
 
-    def component_jets(self, p) -> list[Jet2]:
-        """Jets of the components in the field's own basis."""
-        return [eval_component(f, p) for f in self.components]
+    def component_jets(self, p) -> _JetArrays:
+        """Jets ``(val[k], grad[a,k], hess[a,b,k])`` of the components k in the field's own basis."""
+        return _jets(self.components, p)
 
-    def frame_component_jets(self, p) -> list[Jet2]:
-        """Jets of the frame components at p (converting if needed)."""
+    def frame_component_jets(self, p) -> _JetArrays:
+        """Jets of the frame components at p (converting if needed): th_j(X)."""
         own = self.component_jets(p)
         if self.basis == "frame":
             return own
-        T = coframe_jets(p)
-        return [sum_jets(T[j][a] * own[a] for a in range(4)) for j in range(4)]
+        return _apply(coframe_jets(p), own)
 
-    def coordinate_component_jets(self, p) -> list[Jet2]:
-        """Jets of the coordinate components at p (converting if needed)."""
+    def coordinate_component_jets(self, p) -> _JetArrays:
+        """Jets of the coordinate components at p (converting if needed): sum_j X_j e_j."""
         own = self.component_jets(p)
         if self.basis == "coordinate":
             return own
-        E = frame_jets(p)
-        return [sum_jets(E[j][a] * own[j] for j in range(4)) for a in range(4)]
+        return _apply(tuple(np.swapaxes(E, -1, -2) for E in frame_jets(p)), own)
 
     def frame_values(self, p) -> np.ndarray:
-        return np.array([j.value for j in self.frame_component_jets(p)])
+        return self.frame_component_jets(p)[0]
 
     def coordinate_values(self, p) -> np.ndarray:
-        return np.array([j.value for j in self.coordinate_component_jets(p)])
-
-
-def sum_jets(items) -> Jet2:
-    total = None
-    for it in items:
-        total = it if total is None else total + it
-    return total if total is not None else constant(0.0)
+        return self.coordinate_component_jets(p)[0]
 
 
 def coordinate_field(fx: Component, fy: Component, fs: Component, ft: Component) -> AnalyticVectorField:

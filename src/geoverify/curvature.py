@@ -43,50 +43,29 @@ class Geometry:
     Derivative indices always come first:
 
         g[a,b]            metric             dg[m,a,b] = d_m g_ab
-        ginv[a,b]         inverse metric     d2g[m,n,a,b] = d_m d_n g_ab
         E[i,a]            frame e_{i+1} components against d/dx_a
+                                             dE[m,i,a] = d_m E[i,a]
         Gamma[c,a,b]      Christoffel Gamma^c_ab
         fc[i,j,k]         g(nabla_{e_i} e_j, e_k)
         dfc[m,i,j,k]      d_m fc[i,j,k]
-        Rdown[a,b,c,d]    g(R(d_a,d_b)d_c, d_d)
         Rfr[i,j,k,l]      g(R(e_i,e_j)e_k, e_l)
     """
 
     g: np.ndarray
     dg: np.ndarray
-    d2g: np.ndarray
-    ginv: np.ndarray
-    dginv: np.ndarray
     E: np.ndarray
     dE: np.ndarray
-    d2E: np.ndarray
     Gamma: np.ndarray
-    dGamma: np.ndarray
     fc: np.ndarray
     dfc: np.ndarray
-    Rdown: np.ndarray
     Rfr: np.ndarray
-
-
-def _harvest(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a 4x4 matrix of jets into value, gradient and Hessian arrays."""
-    val = np.empty((4, 4))
-    grad = np.empty((4, 4, 4))  # [m, i, j] = d_m entry_ij
-    hess = np.empty((4, 4, 4, 4))  # [m, n, i, j] = d_m d_n entry_ij
-    for i in range(4):
-        for j in range(4):
-            jet = jets[i][j]
-            val[i, j] = jet.value
-            grad[:, i, j] = jet.grad
-            hess[:, :, i, j] = jet.hess
-    return val, grad, hess
 
 
 @lru_cache(maxsize=256)
 def _geometry(p: Point) -> Geometry:
-    g, dg, d2g = _harvest(metric_jets(p))
-    ginv, dginv, _ = _harvest(inverse_metric_jets(p))
-    E, dE, d2E = _harvest(frame_jets(p))  # dE[m,i,a], d2E[m,n,i,a]
+    g, dg, d2g = metric_jets(p)
+    ginv, dginv, _ = inverse_metric_jets(p)
+    E, dE, d2E = frame_jets(p)
 
     # Gamma^c_ab = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab)
     S = dg + dg.transpose(1, 0, 2) - dg.transpose(2, 1, 0)  # S[a,b,d]
@@ -101,7 +80,7 @@ def _geometry(p: Point) -> Geometry:
         + np.einsum("lam,mbc->albc", Gamma, Gamma)
         - np.einsum("lbm,mac->albc", Gamma, Gamma)
     )
-    Rdown = np.einsum("albc,ld->abcd", Riem, g)
+    Rdown = np.einsum("albc,ld->abcd", Riem, g)  # g(R(d_a, d_b) d_c, d_d)
     Rfr = np.einsum("ia,jb,kc,ld,abcd->ijkl", E, E, E, E, Rdown)
 
     # frame connection g(nabla_{e_i} e_j, e_k) and its coordinate gradient
@@ -115,7 +94,7 @@ def _geometry(p: Point) -> Geometry:
         + np.einsum("ia,ajc,cd,mkd->mijk", E, M, g, dE)
     )
 
-    return Geometry(g, dg, d2g, ginv, dginv, E, dE, d2E, Gamma, dGamma, fc, dfc, Rdown, Rfr)
+    return Geometry(g, dg, E, dE, Gamma, fc, dfc, Rfr)
 
 
 def geometry_at(p) -> Geometry:

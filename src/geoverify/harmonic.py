@@ -108,13 +108,8 @@ def corollary_field(fam: CorollaryFamily) -> AnalyticVectorField:
 
 
 def _field_data(X: AnalyticVectorField, p):
-    """Frame component values, gradients and Hessians of X at p."""
-    geo = geometry_at(p)
-    jets = X.frame_component_jets(p)
-    val = np.array([j.value for j in jets])
-    grad = np.stack([j.grad for j in jets], axis=1)  # [a, k]
-    hess = np.stack([j.hess for j in jets], axis=2)  # [a, b, k]
-    return geo, val, grad, hess
+    """The geometry at p and the frame component jets of X: val[k], grad[a, k], hess[a, b, k]."""
+    return (geometry_at(p), *X.frame_component_jets(p))
 
 
 def _require_st_only(grad: np.ndarray):

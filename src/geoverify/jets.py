@@ -103,21 +103,16 @@ class Jet2:
 
     def __pow__(self, r):
         r = float(r)
-        v = self.value
+        v = np.float64(self.value)  # overflows to inf, where a float power raises
         if not math.isfinite(r):
             raise DomainError(f"non-finite exponent {r}")
         if r == int(r):
             n = int(r)
-            if v == 0.0 and n < 2:
-                if n in (0, 1):
-                    h0 = v**n
-                    h1 = float(n) * (v ** (n - 1)) if n >= 1 else 0.0
-                    return _compose(self, h0, h1, 0.0)
+            if v == 0.0 and n < 0:
                 raise DomainError("negative power of zero")
-            h0 = v**n
             h1 = n * v ** (n - 1) if n != 0 else 0.0
             h2 = n * (n - 1) * v ** (n - 2) if n not in (0, 1) else 0.0
-            return _compose(self, h0, h1, h2)
+            return _compose(self, v**n, h1, h2)
         if v <= 0.0:
             raise DomainError(f"non-integer power of non-positive value {v}")
         h0 = v**r

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, as_point, coordinate_field, eval_component, frame_field
+from .chart import AnalyticVectorField, as_point, coordinate_field, eval_component, frame_field, metric_jets
 from .curvature import geometry_at, ricci_frame
 from .jets import sqrt
 
@@ -108,11 +108,8 @@ def soliton_frame_components(params: SolitonParams) -> AnalyticVectorField:
 def _frame_derivative_data(xi: AnalyticVectorField, p):
     """values alpha_k, frame directional derivatives D[i,k] = e_i(alpha_k)."""
     geo = geometry_at(p)
-    jets = xi.frame_component_jets(p)
-    alpha = np.array([j.value for j in jets])
-    dalpha = np.stack([j.grad for j in jets], axis=1)  # [a, k]
-    D = geo.E @ dalpha  # D[i, k] = sum_a E[i,a] d_a alpha_k
-    return geo, alpha, D
+    alpha, dalpha, _ = xi.frame_component_jets(p)  # dalpha[a, k] = d_a alpha_k
+    return geo, alpha, geo.E @ dalpha  # D[i, k] = sum_a E[i,a] d_a alpha_k
 
 
 def beta_matrix(xi: AnalyticVectorField, p) -> np.ndarray:
@@ -170,16 +167,15 @@ COMPONENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _dual_one_form_jets(xi: AnalyticVectorField, p):
-    from .chart import metric_jets, sum_jets
-
-    G = metric_jets(p)
-    xc = xi.coordinate_component_jets(p)
-    return [sum_jets(G[b][a] * xc[a] for a in range(4)) for b in range(4)]
+    """Value w[b] and gradient dw[m, b] of the metric dual w_b = g_ba xi^a."""
+    g, dg, _ = metric_jets(p)
+    v, dv, _ = xi.coordinate_component_jets(p)
+    return g @ v, dg @ v + dv @ g.T
 
 
 def dual_one_form(xi: AnalyticVectorField, p) -> OneFormValue:
     """The metric dual g(xi, .) in coordinate components."""
-    return OneFormValue(np.array([w.value for w in _dual_one_form_jets(xi, p)]))
+    return OneFormValue(_dual_one_form_jets(xi, p)[0])
 
 
 def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
@@ -188,8 +184,8 @@ def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
     All six vanish on an open set iff xi is locally a gradient there;
     ordering follows :data:`COMPONENT_PAIRS`.
     """
-    w = _dual_one_form_jets(xi, p)
-    return np.array([w[b].grad[a] - w[a].grad[b] for a, b in COMPONENT_PAIRS])
+    _, dw = _dual_one_form_jets(xi, p)
+    return np.array([dw[a, b] - dw[b, a] for a, b in COMPONENT_PAIRS])
 
 
 def scalar_laplacian(f, p) -> float:
@@ -198,10 +194,10 @@ def scalar_laplacian(f, p) -> float:
     ``f`` is a closed-form callable of (x, y, s, t) evaluable on jets.
     """
     geo = geometry_at(as_point(p))
-    jet = eval_component(f, p)
-    second = np.einsum("ia,aib,b->", geo.E, geo.dE, jet.grad) + np.einsum(
-        "ia,ib,ab->", geo.E, geo.E, jet.hess
+    _, grad, hess = eval_component(f, p)
+    second = np.einsum("ia,aib,b->", geo.E, geo.dE, grad) + np.einsum(
+        "ia,ib,ab->", geo.E, geo.E, hess
     )
     trace_dirs = np.einsum("iim->m", geo.fc)  # sum_i nabla_{e_i} e_i, frame comps
-    drift = trace_dirs @ (geo.E @ jet.grad)
+    drift = trace_dirs @ (geo.E @ grad)
     return float(second - drift)

@@ -160,6 +160,21 @@ def test_non_finite_residual_fails_at_first_offending_point(capsys):
     assert not np.isfinite(d["max_residual"])
     cfg = RunConfig(points=5, box=Box(*map(float, box.split(","))))
     assert d["witness_point"] == list(_sample_point(cfg, "lemma2", 0).astuple())
+    # an overflow inside any check (e.g. a power of t) fails that check, not the run
+    assert main(["all", f"--box={box}", "--points", "3"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["check_name"] for r in reports] == list(CHECK_NAMES)
+    for r in reports:
+        assert r["pass"] is False and not np.isfinite(r["max_residual"])
+        assert r["witness_point"] == list(_sample_point(cfg, r["check_name"], 0).astuple())
+
+
+def test_failed_inequality_fails_at_any_tolerance(capsys):
+    # t in [100, 1000] leaves the shifted-exponent witnesses below their margin
+    assert main(["corollary", "--box=-2,2,-2,2,-2,2,100,1000", "--points", "5", "--tol", "2"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert d["pass"] is False
+    assert d["max_residual"] == 1.0
 
 
 def _claim_points(n, t=1.0):

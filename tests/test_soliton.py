@@ -68,6 +68,12 @@ def test_frame_components_match_closed_forms():
         alphas = soliton_frame_components(params)
         p = rand_point(rng)
         assert np.max(np.abs(xi.frame_values(p) - alphas.frame_values(p))) < 1e-10
+        # the coordinate-to-frame conversion carries exact derivatives too
+        _, grad, hess = xi.frame_component_jets(p)
+        _, grad_ref, hess_ref = alphas.frame_component_jets(p)
+        assert np.max(np.abs(grad - grad_ref)) < 1e-10
+        assert np.max(np.abs(hess - hess_ref)) < 1e-10
+        assert np.array_equal(hess, hess.transpose(1, 0, 2))
 
 
 def test_beta_reference_entries():
