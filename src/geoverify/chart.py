@@ -17,7 +17,8 @@ d/dx) and the metric g = th1^2 + th2^2 + th3^2 + th4^2 has matrix
      [  0,        0,           0,     1/(4t^2)]].
 
 Every entry is a closed-form expression over the jet arithmetic, so the
-same definitions serve values, gradients and Hessians.
+same definitions serve values, gradients and Hessians, at one point or at
+a (..., 4) batch of points in one numpy evaluation.
 
 Vector quantities carry their basis explicitly: :class:`FrameVector`
 components are against (e1..e4), :class:`CoordVector` components against
@@ -32,7 +33,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .jets import NVARS, DomainError, Jet2, point_jets, sqrt
+from .jets import NVARS, DomainError, Jet2, _require, point_jets, sqrt
 
 __all__ = [
     "Point",
@@ -106,7 +107,7 @@ class FrameVector:
         return float(self.comp @ self.comp)
 
 
-Component = Callable[..., object]  # (x, y, s, t) -> float | Jet2
+Component = Callable[..., object]  # (x, y, s, t) -> float | per-point ndarray | Jet2
 
 
 def _const(c: float) -> Component:
@@ -145,42 +146,59 @@ _INVERSE_METRIC: tuple[tuple[Component, ...], ...] = (
 )
 
 
-_JetArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # (val, grad, hess), derivative indices first
+_JetArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # (val, grad, hess): batch axes, derivative indices, entry
+
+
+def _as_points(p) -> np.ndarray:
+    """A Point or a (..., 4) array-like of points as a float array, requiring t > 0 at every point."""
+    P = np.array(p.astuple()) if isinstance(p, Point) else np.asarray(p, dtype=float)
+    _require(P[..., 3] > 0.0, "chart requires t > 0")
+    return P
 
 
 def _jets(entries, p) -> _JetArrays:
-    """Evaluate one closed form, a 4-vector or a 4x4 grid of them at p.
+    """Evaluate one closed form, a 4-vector or a 4x4 grid of them at a point or a (..., 4) batch p.
 
-    Returns ``(val, grad, hess)`` with ``val`` shaped like ``entries``,
-    ``grad[m, ...] = d_m entry`` and ``hess[m, n, ...] = d_m d_n entry``.
+    Returns ``val[..., e]``, ``grad[..., m, e] = d_m entry`` and ``hess[..., m, n, e] = d_m d_n entry``.
     """
     table = np.array(entries, dtype=object)
-    xyst = point_jets(as_point(p))
-    n = table.size
-    val, grad, hess = np.zeros(n), np.zeros((NVARS, n)), np.zeros((NVARS, NVARS, n))
+    P = _as_points(p)
+    xyst = point_jets(P)
+    batch, n = P.shape[:-1], table.size
+    # stored with the batch axes innermost, viewed batch-first: einsum keeps that memory layout for its
+    # results (order="K"), so every contraction downstream loops over the batch, not over length-4 axes
+    shapes = (n,), (NVARS, n), (NVARS, NVARS, n)
+    val, grad, hess = (np.moveaxis(np.zeros(s + batch), range(len(s)), range(-len(s), 0)) for s in shapes)
     for k, f in enumerate(table.flat):
         jet = f(*xyst)
         if isinstance(jet, Jet2):
-            val[k], grad[:, k], hess[:, :, k] = jet.value, jet.grad, jet.hess
+            val[..., k], grad[..., k], hess[..., k] = jet.value, jet.grad, jet.hess
         else:
-            val[k] = jet
+            val[..., k] = jet
     shape = table.shape
-    return val.reshape(shape), grad.reshape((NVARS,) + shape), hess.reshape((NVARS, NVARS) + shape)
+    d1, d2 = batch + (NVARS,), batch + (NVARS, NVARS)
+    return val.reshape(batch + shape), grad.reshape(d1 + shape), hess.reshape(d2 + shape)
 
 
 def _apply(A: _JetArrays, x: _JetArrays) -> _JetArrays:
     """Jets of A @ x: the product rule for each A_ij x_j, summed over j last to keep hess symmetric."""
     (a, da, d2a), (v, dv, d2v) = A, x
-    cross = da[:, None] * dv[None, :, None, :]  # [m, n, i, j] = d_m A_ij d_n x_j
-    return (
-        (a * v).sum(-1),
-        (a * dv[:, None, :] + v * da).sum(-1),
-        (a * d2v[:, :, None, :] + v * d2a + (cross + cross.transpose(1, 0, 2, 3))).sum(-1),
-    )
+    v = v[..., None, :]  # broadcast over i
+    cross = da[..., :, None, :, :] * dv[..., None, :, None, :]  # [m, n, i, j] = d_m A_ij d_n x_j
+    hess = a[..., None, None, :, :] * d2v[..., :, :, None, :]
+    hess += v[..., None, None, :, :] * d2a
+    hess += cross + np.swapaxes(cross, -4, -3)
+    grad = a[..., None, :, :] * dv[..., :, None, :] + v[..., None, :, :] * da
+    return (a * v).sum(-1), grad.sum(-1), hess.sum(-1)
+
+
+def _per_point(a):
+    """A per-point scalar result: a float for a single point, the array for a batch."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def eval_component(f: Component, p) -> _JetArrays:
-    """Evaluate a component function at p: value, gradient (4,) and Hessian (4, 4)."""
+    """Evaluate a component function at p: value, gradient (..., 4) and Hessian (..., 4, 4)."""
     return _jets(f, p)
 
 
@@ -262,7 +280,7 @@ class AnalyticVectorField:
             raise ValueError("a vector field needs exactly 4 components")
 
     def component_jets(self, p) -> _JetArrays:
-        """Jets ``(val[k], grad[a,k], hess[a,b,k])`` of the components k in the field's own basis."""
+        """Jets ``(val[..., k], grad[..., a, k], hess[..., a, b, k])`` of the components in the field's own basis."""
         return _jets(self.components, p)
 
     def frame_component_jets(self, p) -> _JetArrays:
@@ -295,10 +313,10 @@ def frame_field(f1: Component, f2: Component, f3: Component, f4: Component) -> A
 
 
 def constant_coordinate_field(comp) -> AnalyticVectorField:
-    c = [float(v) for v in comp]
-    return coordinate_field(*(_const(v) for v in c))
+    """Components comp[..., k]: one constant vector, or one per point of a batch."""
+    return coordinate_field(*map(_const, np.moveaxis(np.asarray(comp, dtype=float), -1, 0)))
 
 
 def constant_frame_field(comp) -> AnalyticVectorField:
-    c = [float(v) for v in comp]
-    return frame_field(*(_const(v) for v in c))
+    """Components comp[..., k]: one constant vector, or one per point of a batch."""
+    return frame_field(*map(_const, np.moveaxis(np.asarray(comp, dtype=float), -1, 0)))

@@ -1,19 +1,22 @@
 """Named verification checks with deterministic sampling and reports.
 
-Each registered check samples its points once and returns its claims:
-per-point residuals with the points they were measured at.  A ``zero``
-claim needs every residual below the threshold; an ``exceeds`` claim (an
-inequality) needs its best witness to beat a margin.  :func:`_reduce`
-turns the claims into ``max_residual`` and the sampled witness point: a
-failed inequality contributes 1.0 at its best witness, and any
-non-finite residual decides the report (the first one, claims in
-order, points in sampling order), so that the check fails.  A check
-passes when every inequality holds and its ``max_residual`` is below
-the threshold.
+Each registered check gets its sampled points as one (N, 4) batch and
+returns its claims: per-point residuals with the points they were
+measured at.  A ``zero`` claim needs every residual below the threshold;
+an ``exceeds`` claim (an inequality) needs its best witness to beat a
+margin.  :func:`_reduce` turns the claims into ``max_residual`` and the
+sampled witness point: a failed inequality contributes 1.0 at its best
+witness, and any non-finite residual decides the report (the first one,
+claims in order, points in sampling order), so that the check fails.  A
+check passes when every inequality holds and its ``max_residual`` is
+below the threshold.
 
 Sampling is counter-based: the stream for point ``i`` of check ``name``
 is seeded by (seed, name, i), so reports are reproducible and adding a
-check never perturbs another check's points.
+check never perturbs another check's points.  A check builds the
+geometry once for its batch and evaluates each field once over it.  A
+domain error at one point stops the batch, so the check fails with a NaN
+``max_residual`` at that point.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ import json
 import math
 import time
 import zlib
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import FrameVector, Point, constant_frame_field, coordinate_field, frame_field
-from .curvature import coercivity_check, frame_connection, ricci_frame, riemann_frame_table, scalar_curvature
+from .chart import FrameVector, Point, as_point, constant_frame_field, coordinate_field, frame_field
+from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily, corollary_field
+from .jets import DomainError
 from .soliton import SolitonParams
 
 __all__ = [
@@ -116,17 +120,8 @@ class CheckReport:
     elapsed_ms: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check_name": self.check_name,
-                "points_sampled": self.points_sampled,
-                "max_residual": self.max_residual,
-                "threshold": self.threshold,
-                "pass": self.passed,
-                "witness_point": list(self.witness_point),
-                "elapsed_ms": self.elapsed_ms,
-            }
-        )
+        """The fields in order, ``passed`` written as ``pass``."""
+        return json.dumps({("pass" if k == "passed" else k): v for k, v in asdict(self).items()})
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -158,7 +153,7 @@ class _Claim(NamedTuple):
     """Per-point residuals of one sub-claim; ``margin`` is None for a ``zero`` claim."""
 
     residuals: Sequence[float]
-    points: Sequence[Point]
+    points: Sequence  # the points the residuals were measured at: Points or (N, 4) rows
     margin: Optional[float] = None
 
 
@@ -170,7 +165,7 @@ def _exceeds(residuals, points, margin: float = 1e-3) -> _Claim:
     return _Claim(residuals, points, margin)
 
 
-def _reduce(claims: Sequence[_Claim]) -> tuple[float, Point]:
+def _reduce(claims: Sequence[_Claim]) -> tuple[float, object]:
     """The report's ``max_residual`` and the sampled point that attained it."""
     worst, witness = 0.0, claims[0].points[0]
     for c in claims:
@@ -191,101 +186,99 @@ def _reduce(claims: Sequence[_Claim]) -> tuple[float, Point]:
     return worst, witness
 
 
-def _sample_points(cfg: RunConfig, name: str) -> list[Point]:
-    return [_sample_point(cfg, name, i) for i in range(cfg.points)]
+def _sample_points(cfg: RunConfig, name: str) -> np.ndarray:
+    """The check's points as an (N, 4) batch; row i is ``_sample_point(cfg, name, i)``."""
+    return np.array([_sample_point(cfg, name, i).astuple() for i in range(cfg.points)])
 
 
-def _pointwise(cfg: RunConfig, name: str, residual: Callable[[int, Point], float], evals_per_point: int = 1):
-    """A single ``zero`` claim: ``residual(i, p)`` at every sampled point of the check."""
-    pts = _sample_points(cfg, name)
-    return evals_per_point * cfg.points, [_zero([residual(i, p) for i, p in enumerate(pts)], pts)]
+def _uniform(cfg: RunConfig, stream: str, low: float, high: float, size) -> np.ndarray:
+    """Row i is the draw from point i's own stream, shape (N, *size)."""
+    return np.array([_rng(cfg.seed, stream, i).uniform(low, high, size) for i in range(cfg.points)])
 
 
-def _check_lemma1(cfg: RunConfig):
-    return _pointwise(cfg, "lemma1", lambda i, p: np.max(np.abs(frame_connection(p) - tables.CONNECTION_TABLE)))
+def _params(cfg: RunConfig, name: str) -> SolitonParams:
+    """The pinned soliton constants, else point i's sampled ones, each constant an (N,) array."""
+    if cfg.soliton_params is not None:
+        return cfg.soliton_params
+    return SolitonParams(*np.array([_sample_params(cfg, name, i).constants() for i in range(cfg.points)]).T)
 
 
-def _check_lemma2(cfg: RunConfig):
-    def residual(i, p):
-        ricci_err = np.max(np.abs(ricci_frame(p) - tables.RICCI_FRAME))
-        return np.maximum(ricci_err, abs(scalar_curvature(p) - tables.SCALAR_CURVATURE))
-
-    return _pointwise(cfg, "lemma2", residual)
+def _worst(a: np.ndarray, axes: int) -> np.ndarray:
+    """max |a| over the trailing ``axes`` axes: one value per point."""
+    return np.max(np.abs(a), axis=tuple(range(-axes, 0)))
 
 
-def _check_riemc(cfg: RunConfig):
-    expected = tables.full_curvature_tensor()
-    return _pointwise(cfg, "riemc", lambda i, p: np.max(np.abs(riemann_frame_table(p) - expected)))
+def _check_lemma1(cfg: RunConfig, P: np.ndarray):
+    return len(P), [_zero(_worst(frame_connection(P) - tables.CONNECTION_TABLE, 3), P)]
 
 
-def _check_theorem1(cfg: RunConfig):
-    def residual(i, p):
-        params = cfg.soliton_params or _sample_params(cfg, "theorem1", i)
-        return np.max(np.abs(soliton.soliton_residual(soliton.soliton_field(params), params.lam, p)))
-
-    return _pointwise(cfg, "theorem1", residual)
+def _check_lemma2(cfg: RunConfig, P: np.ndarray):
+    ric = ricci_frame(P)
+    scalar_err = np.abs(np.trace(ric, axis1=-2, axis2=-1) - tables.SCALAR_CURVATURE)
+    return len(P), [_zero(np.maximum(_worst(ric - tables.RICCI_FRAME, 2), scalar_err), P)]
 
 
-def _grid_points(box: Box, n: int = 5):
+def _check_riemc(cfg: RunConfig, P: np.ndarray):
+    return len(P), [_zero(_worst(riemann_frame_table(P) - tables.full_curvature_tensor(), 4), P)]
+
+
+def _check_theorem1(cfg: RunConfig, P: np.ndarray):
+    params = _params(cfg, "theorem1")
+    return len(P), [_zero(_worst(soliton.soliton_residual(soliton.soliton_field(params), params.lam, P), 2), P)]
+
+
+def _grid_points(box: Box, n: int = 5) -> np.ndarray:
+    """The n^4 grid over the box as rows (x, y, s, t), t varying fastest."""
     axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lows(), box.highs())]
-    for x in axes[0]:
-        for y in axes[1]:
-            for s in axes[2]:
-                for t in axes[3]:
-                    yield Point(x, y, s, t)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
 
-def _check_nongradient(cfg: RunConfig):
-    pts = _sample_points(cfg, "nongradient")
+def _check_nongradient(cfg: RunConfig, P: np.ndarray):
     # exact closedness defect of the c3 member: (d xi-flat)_st = 1/(2 t^3)
     xi3 = soliton.soliton_field(SolitonParams(c3=1.0))
-    claims = [_zero([abs(soliton.closedness_defect(xi3, p)[5] - 1.0 / (2.0 * np.float64(p.t) ** 3)) for p in pts], pts)]
+    claims = [_zero(np.abs(soliton.closedness_defect(xi3, P)[:, 5] - 1.0 / (2.0 * P[:, 3] ** 3)), P)]
 
     # every sampled member with (c1,c2,c3) != 0 must fail closedness somewhere
     # on the grid; the defect is affine in the constants, so evaluate a basis
-    grid = list(_grid_points(cfg.box))
-    base = soliton.soliton_field(SolitonParams())
-    directions = [soliton.soliton_field(SolitonParams(**{f"c{k}": 1.0})) for k in range(1, 6)]
-    defect0 = np.array([soliton.closedness_defect(base, p) for p in grid])
-    ddefect = np.array(
-        [[soliton.closedness_defect(f, p) for p in grid] for f in directions]
-    )  # [k, point, component]
-    ddefect -= defect0[None, :, :]
+    grid = _grid_points(cfg.box)
+    basis = [SolitonParams()] + [SolitonParams(**{f"c{k}": 1.0}) for k in range(1, 6)]
+    try:
+        defect0, *ddefect = [soliton.closedness_defect(soliton.soliton_field(c), grid) for c in basis]
+    except DomainError as exc:  # a grid point left the domain: fail there
+        return len(P) + len(grid), claims + [_zero([math.nan], [grid[exc.index]])]
+    ddefect = np.array(ddefect) - defect0  # [k, point, component]
     n_params = 20
     for j in range(n_params):
         params = _sample_params(cfg, "nongradient", j, require_c123=True)
         d = defect0 + np.tensordot(np.array(params.constants()), ddefect, axes=1)
         claims.append(_exceeds(np.max(np.abs(d), axis=1), grid))
-    return cfg.points + len(grid), claims
+    return len(P) + len(grid), claims
 
 
-def _check_harmonic_components(cfg: RunConfig):
-    def residual(i, p):
-        params = cfg.soliton_params or _sample_params(cfg, "harmonic-components", i)
-        return np.max(np.abs([soliton.scalar_laplacian(f, p) for f in soliton.soliton_field(params).components]))
-
-    return _pointwise(cfg, "harmonic-components", residual)
+def _check_harmonic_components(cfg: RunConfig, P: np.ndarray):
+    _, grad, hess = soliton.soliton_field(_params(cfg, "harmonic-components")).component_jets(P)
+    geo = geometry_at(P)
+    laplacians = [soliton._scalar_laplacian(geo, grad[..., k], hess[..., k]) for k in range(4)]
+    return len(P), [_zero(np.max(np.abs(laplacians), axis=0), P)]
 
 
 def _polynomial_field(coeffs: np.ndarray):
-    """Frame field whose components are quadratic polynomials in (s, t)."""
+    """Frame field whose components are quadratic polynomials in (s, t); coeffs[..., k, :] for component k."""
 
     def make(c):
         return lambda x, y, s, t: (
-            c[0] + c[1] * s + c[2] * t + c[3] * s * s + c[4] * s * t + c[5] * t * t
+            c[..., 0] + c[..., 1] * s + c[..., 2] * t + c[..., 3] * s * s + c[..., 4] * s * t + c[..., 5] * t * t
         )
 
-    return frame_field(*(make(coeffs[k]) for k in range(4)))
+    return frame_field(*(make(coeffs[..., k, :]) for k in range(4)))
 
 
-def _check_theorem3(cfg: RunConfig):
+def _check_theorem3(cfg: RunConfig, P: np.ndarray):
+    X = _polynomial_field(_uniform(cfg, "theorem3/fields", -1.0, 1.0, (4, 6)))
+    val, grad, hess = X.frame_component_jets(P)
+    laplacian = harmonic._rough_laplacian(geometry_at(P), val, grad, hess)
     weights = np.array([1.0, 1.0, 2.0, 2.0])
-
-    def residual(i, p):
-        X = _polynomial_field(_rng(cfg.seed, "theorem3/fields", i).uniform(-1.0, 1.0, (4, 6)))
-        return np.max(np.abs(harmonic.rough_laplacian(X, p) - weights * harmonic.harmonic_section_equations(X, p)))
-
-    return _pointwise(cfg, "theorem3", residual)
+    return len(P), [_zero(_worst(laplacian - weights * harmonic._section_equations(P[:, 3], val, grad, hess), 1), P)]
 
 
 def _perturbed_power_field(slot: int, exponent: float):
@@ -295,8 +288,9 @@ def _perturbed_power_field(slot: int, exponent: float):
     return coordinate_field(*comps)
 
 
-def _check_corollary(cfg: RunConfig):
-    pts = _sample_points(cfg, "corollary")
+def _check_corollary(cfg: RunConfig, P: np.ndarray):
+    c = [_uniform(cfg, f"corollary/c{k}", -3.0, 3.0, 2) for k in (1, 2, 3, 4)]  # per point (c1, c2)
+    families = [corollary_field(CorollaryFamily(k, *c[k - 1].T)) for k in (1, 2, 3, 4)]
     # the power-law exponents are forced: a shifted exponent must leave a
     # visible residual somewhere
     shifted = [
@@ -304,50 +298,39 @@ def _check_corollary(cfg: RunConfig):
         for slot in (3, 4)
         for exponent in (harmonic.EXPONENT_PLUS, harmonic.EXPONENT_MINUS)
     ]
-    res = np.empty((4 + len(shifted), len(pts)))  # [field, point]: families 1..4, then shifted
-    for i, p in enumerate(pts):
-        families = [
-            corollary_field(CorollaryFamily(k, *_rng(cfg.seed, f"corollary/c{k}", i).uniform(-3.0, 3.0, 2)))
-            for k in (1, 2, 3, 4)
-        ]
-        for row, X in enumerate(families + shifted):
-            res[row, i] = np.max(np.abs(harmonic.harmonic_section_residual(X, p)))
-    return res.size, [_zero(r, pts) for r in res[:4]] + [_exceeds(r, pts) for r in res[4:]]
+    geo = geometry_at(P)
+    # [field, point]: families 1..4, then shifted
+    res = np.array([_worst(harmonic._rough_laplacian(geo, *X.frame_component_jets(P)), 1) for X in families + shifted])
+    return res.size, [_zero(r, P) for r in res[:4]] + [_exceeds(r, P) for r in res[4:]]
 
 
-def _check_harmonic_map_witnesses(cfg: RunConfig):
-    pts = _sample_points(cfg, "harmonic-map-witnesses")
-    zero_field = constant_frame_field([0.0, 0.0, 0.0, 0.0])
-    n_zero = min(10, len(pts))
+def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
+    geo = geometry_at(P)
+
+    def tension(X):
+        return harmonic._tension(geo, *X.frame_component_jets(P))
+
+    n_zero = min(10, len(P))
+    zero_res = tension(constant_frame_field([0.0, 0.0, 0.0, 0.0])).max_component()[:n_zero]
     witnesses = [corollary_field(CorollaryFamily(k, 1.0, 0.0)) for k in (1, 2, 3, 4)]
     witnesses += [corollary_field(CorollaryFamily(k, 0.0, 1.0)) for k in (1, 2, 3, 4)]
     witnesses += [constant_frame_field(np.eye(4)[k]) for k in range(4)]
+    mags = np.array([tension(X).max_component() for X in witnesses])  # [witness, point]
 
-    mags = np.empty((len(witnesses), len(pts)))  # [witness, point]
-    zero_res, quad_res = np.empty(n_zero), np.empty(len(pts))
-    for i, p in enumerate(pts):
-        if i < n_zero:
-            zero_res[i] = harmonic.harmonic_map_residual(zero_field, p).max_component()
-        for w, X in enumerate(witnesses):
-            mags[w, i] = harmonic.harmonic_map_residual(X, p).max_component()
-        # expanded quadratic identity for the last tension component
-        comp = _rng(cfg.seed, "harmonic-map-witnesses/const", i).uniform(-2.0, 2.0, 4)
-        t4 = harmonic.horizontal_tension(constant_frame_field(comp), p)[3]
-        expected = 2 * comp[0] ** 2 + 2 * comp[1] ** 2 + 8 * comp[2] ** 2 + 8 * comp[3] ** 2
-        quad_res[i] = abs(t4 - expected)
+    # expanded quadratic identity for the last tension component
+    comp = _uniform(cfg, "harmonic-map-witnesses/const", -2.0, 2.0, 4)
+    t4 = harmonic._horizontal_tension(geo, *constant_frame_field(comp).frame_component_jets(P))[:, 3]
+    quad_res = np.abs(t4 - (2 * comp[:, 0] ** 2 + 2 * comp[:, 1] ** 2 + 8 * comp[:, 2] ** 2 + 8 * comp[:, 3] ** 2))
 
     # a witness at or below the margin would wrongly pass as a harmonic map
-    claims = [_zero(zero_res, pts[:n_zero])] + [_exceeds(m, pts) for m in mags] + [_zero(quad_res, pts)]
-    return n_zero + mags.size + len(pts), claims
+    claims = [_zero(zero_res, P[:n_zero])] + [_exceeds(m, P) for m in mags] + [_zero(quad_res, P)]
+    return n_zero + mags.size + len(P), claims
 
 
-def _check_coercivity(cfg: RunConfig):
-    def residual(i, p):
-        vs = _rng(cfg.seed, "coercivity/vectors", i).uniform(-3.0, 3.0, (10, 4))
-        got = [coercivity_check(p, FrameVector(v), soliton.SOLITON_LAMBDA) for v in vs]
-        return np.max([abs(g - 6.0 * (v[0] ** 2 + v[1] ** 2)) for g, v in zip(got, vs)])
-
-    return _pointwise(cfg, "coercivity", residual, evals_per_point=10)
+def _check_coercivity(cfg: RunConfig, P: np.ndarray):
+    vs = _uniform(cfg, "coercivity/vectors", -3.0, 3.0, (10, 4))  # [point, vector, component]
+    got = coercivity_check(P[:, None], FrameVector(vs), soliton.SOLITON_LAMBDA)  # batch (N, 1) meets (N, 10)
+    return 10 * len(P), [_zero(np.max(np.abs(got - 6.0 * (vs[..., 0] ** 2 + vs[..., 1] ** 2)), axis=-1), P)]
 
 
 _REGISTRY: dict[str, Callable] = {
@@ -372,7 +355,11 @@ def run_suite(name: str, cfg: RunConfig) -> CheckReport:
         raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     cfg.validate()
     start = time.perf_counter()
-    sampled, claims = _REGISTRY[name](cfg)
+    P = _sample_points(cfg, name)
+    try:
+        sampled, claims = _REGISTRY[name](cfg, P)
+    except DomainError as exc:  # one point left the domain, which stops its whole batch: fail there
+        sampled, claims = len(P), [_zero([math.nan], [P[exc.index]])]
     worst, witness = _reduce(claims)
     # a failed inequality reports 1.0, which a tolerance above 1 would let pass
     held = all(np.max(c.residuals) > c.margin for c in claims if c.margin is not None)
@@ -383,7 +370,7 @@ def run_suite(name: str, cfg: RunConfig) -> CheckReport:
         max_residual=worst,
         threshold=cfg.tol,
         passed=held and math.isfinite(worst) and worst < cfg.tol,
-        witness_point=witness.astuple(),
+        witness_point=as_point(witness).astuple(),
         elapsed_ms=elapsed_ms,
     )
 

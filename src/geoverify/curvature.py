@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chart import FrameVector, Point, as_point, frame_jets, inverse_metric_jets, metric_jets
+from .chart import FrameVector, _per_point, as_point, frame_jets, inverse_metric_jets, metric_jets
 
 __all__ = [
     "christoffel_at",
@@ -38,17 +38,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Geometry:
-    """Pointwise arrays for one chart point (all indices 0-based).
+    """Pointwise arrays for one chart point or a batch (all indices 0-based).
 
-    Derivative indices always come first:
+    Batch axes come first, then derivative indices, then the entry:
 
-        g[a,b]            metric             dg[m,a,b] = d_m g_ab
-        E[i,a]            frame e_{i+1} components against d/dx_a
-                                             dE[m,i,a] = d_m E[i,a]
-        Gamma[c,a,b]      Christoffel Gamma^c_ab
-        fc[i,j,k]         g(nabla_{e_i} e_j, e_k)
-        dfc[m,i,j,k]      d_m fc[i,j,k]
-        Rfr[i,j,k,l]      g(R(e_i,e_j)e_k, e_l)
+        g[..., a,b]            metric             dg[..., m,a,b] = d_m g_ab
+        E[..., i,a]            frame e_{i+1} components against d/dx_a
+                                                  dE[..., m,i,a] = d_m E[i,a]
+        Gamma[..., c,a,b]      Christoffel Gamma^c_ab
+        fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k)
+        dfc[..., m,i,j,k]      d_m fc[i,j,k]
+        Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l)
     """
 
     g: np.ndarray
@@ -61,61 +61,83 @@ class Geometry:
     Rfr: np.ndarray
 
 
-@lru_cache(maxsize=256)
-def _geometry(p: Point) -> Geometry:
+def _christoffel(p):
+    """Metric jets g, dg and Gamma^c_ab = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab) with dGamma[m] = d_m Gamma."""
     g, dg, d2g = metric_jets(p)
     ginv, dginv, _ = inverse_metric_jets(p)
+    S = dg + np.swapaxes(dg, -3, -2) - np.swapaxes(dg, -3, -1)  # S[a,b,d]
+    dS = d2g + np.swapaxes(d2g, -3, -2) - np.swapaxes(d2g, -3, -1)  # dS[m,a,b,d]
+    Gamma = 0.5 * np.einsum("...cd,...abd->...cab", ginv, S)
+    dGamma = 0.5 * (np.einsum("...mcd,...abd->...mcab", dginv, S) + np.einsum("...cd,...mabd->...mcab", ginv, dS))
+    return g, dg, Gamma, dGamma
+
+
+def _frame_connection(p, g, dg, Gamma, dGamma):
+    """Frame jets E, dE and fc[i,j,k] = g(nabla_{e_i} e_j, e_k) = E_ia M_ajc g_cd E_kd, dfc[m,i,j,k] = d_m fc."""
     E, dE, d2E = frame_jets(p)
+    M = dE + np.einsum("...jb,...cab->...ajc", E, Gamma)  # M[a,j,c] = (nabla_{d_a} e_j)^c
+    dM = d2E + np.einsum("...mjb,...cab->...majc", dE, Gamma)
+    dM += np.einsum("...jb,...mcab->...majc", E, dGamma)
+    gE = np.einsum("...cd,...kd->...ck", g, E)
+    EM = np.einsum("...ia,...ajc->...ijc", E, M)
+    d_gE = np.einsum("...mcd,...kd->...mck", dg, E) + np.einsum("...cd,...mkd->...mck", g, dE)
+    dfc = np.einsum("...mia,...ajk->...mijk", dE, np.einsum("...ajc,...ck->...ajk", M, gE))
+    dfc += np.einsum("...ia,...majk->...mijk", E, np.einsum("...majc,...ck->...majk", dM, gE))
+    dfc += np.einsum("...ijc,...mck->...mijk", EM, d_gE)
+    return E, dE, np.einsum("...ijc,...ck->...ijk", EM, gE), dfc
 
-    # Gamma^c_ab = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab)
-    S = dg + dg.transpose(1, 0, 2) - dg.transpose(2, 1, 0)  # S[a,b,d]
-    Gamma = 0.5 * np.einsum("cd,abd->cab", ginv, S)
-    dS = d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 3, 2, 1)  # dS[m,a,b,d]
-    dGamma = 0.5 * (np.einsum("mcd,abd->mcab", dginv, S) + np.einsum("cd,mabd->mcab", ginv, dS))
 
-    # Riem[a,l,b,c]: R(d_a, d_b) d_c = Riem[a,:,b,c] . (d_l basis)
-    Riem = (
-        dGamma  # dGamma[a,l,b,c] = d_a Gamma^l_bc
-        - dGamma.transpose(2, 1, 0, 3)
-        + np.einsum("lam,mbc->albc", Gamma, Gamma)
-        - np.einsum("lbm,mac->albc", Gamma, Gamma)
-    )
-    Rdown = np.einsum("albc,ld->abcd", Riem, g)  # g(R(d_a, d_b) d_c, d_d)
-    Rfr = np.einsum("ia,jb,kc,ld,abcd->ijkl", E, E, E, E, Rdown)
+def _frame_curvature(g, E, Gamma, dGamma):
+    """Rfr[i,j,k,l] = g(R(e_i,e_j)e_k, e_l)."""
+    # Riem[a,l,b,c]: R(d_a, d_b) d_c = Riem[a,:,b,c] . (d_l basis); dGamma[a,l,b,c] = d_a Gamma^l_bc
+    Riem = dGamma - np.swapaxes(dGamma, -4, -2)
+    Riem += np.einsum("...lam,...mbc->...albc", Gamma, Gamma)
+    Riem -= np.einsum("...lbm,...mac->...albc", Gamma, Gamma)
+    Rdown = np.einsum("...albc,...ld->...abcd", Riem, g)  # g(R(d_a, d_b) d_c, d_d)
+    # E_ia E_jb E_kc E_ld Rdown_abcd, one frame index at a time
+    Rfr = np.einsum("...abcd,...ld->...abcl", Rdown, E)
+    Rfr = np.einsum("...abcl,...kc->...abkl", Rfr, E)
+    Rfr = np.einsum("...abkl,...jb->...ajkl", Rfr, E)
+    return np.einsum("...ajkl,...ia->...ijkl", Rfr, E)
 
-    # frame connection g(nabla_{e_i} e_j, e_k) and its coordinate gradient
-    M = dE + np.einsum("jb,cab->ajc", E, Gamma)  # M[a,j,c] = (nabla_{d_a} e_j)^c
-    fc = np.einsum("ia,ajc,cd,kd->ijk", E, M, g, E)
-    dM = d2E + np.einsum("mjb,cab->majc", dE, Gamma) + np.einsum("jb,mcab->majc", E, dGamma)
-    dfc = (
-        np.einsum("mia,ajc,cd,kd->mijk", dE, M, g, E)
-        + np.einsum("ia,majc,cd,kd->mijk", E, dM, g, E)
-        + np.einsum("ia,ajc,mcd,kd->mijk", E, M, dg, E)
-        + np.einsum("ia,ajc,cd,mkd->mijk", E, M, g, dE)
-    )
 
-    return Geometry(g, dg, E, dE, Gamma, fc, dfc, Rfr)
+def _build(p) -> Geometry:
+    # each stage loads the jets only it needs, so second derivatives are freed early
+    g, dg, Gamma, dGamma = _christoffel(p)
+    E, dE, fc, dfc = _frame_connection(p, g, dg, Gamma, dGamma)
+    return Geometry(g, dg, E, dE, Gamma, fc, dfc, _frame_curvature(g, E, Gamma, dGamma))
+
+
+# single points only: a replay asks for one point's geometry several times; a check's batch is built once
+_geometry = lru_cache(maxsize=256)(_build)
 
 
 def geometry_at(p) -> Geometry:
-    """Cached pointwise geometry bundle (treat the arrays as read-only)."""
+    """Geometry at one point (cached; treat the arrays as read-only) or at a (..., 4) batch of points."""
+    if np.ndim(p) > 1:
+        return _build(p)
     return _geometry(as_point(p))
 
 
+def _ricci(Rfr: np.ndarray) -> np.ndarray:
+    return np.einsum("...iaaj->...ij", Rfr)
+
+
 def christoffel_at(p) -> np.ndarray:
-    """Coordinate Christoffel symbols, indexed [k, i, j] = Gamma^k_ij."""
+    """Coordinate Christoffel symbols, indexed [..., k, i, j] = Gamma^k_ij."""
     return geometry_at(p).Gamma.copy()
 
 
 def metric_compatibility_defect(p) -> float:
     """Max component of nabla g at p; vanishes for the Levi-Civita connection."""
     geo = geometry_at(p)
-    nabla_g = geo.dg - np.einsum("dab,dc->abc", geo.Gamma, geo.g) - np.einsum("dac,bd->abc", geo.Gamma, geo.g)
+    G, g = geo.Gamma, geo.g
+    nabla_g = geo.dg - np.einsum("...dab,...dc->...abc", G, g) - np.einsum("...dac,...bd->...abc", G, g)
     return float(np.max(np.abs(nabla_g)))
 
 
 def frame_connection(p) -> np.ndarray:
-    """g(nabla_{e_i} e_j, e_k) as a (4,4,4) array, indices 0-based."""
+    """g(nabla_{e_i} e_j, e_k) as a (..., 4, 4, 4) array, indices 0-based."""
     return geometry_at(p).fc.copy()
 
 
@@ -129,20 +151,19 @@ def riemann_frame(p, i: int, j: int, k: int, l: int) -> float:
     for idx in (i, j, k, l):
         if not 1 <= idx <= 4:
             raise ValueError(f"frame index {idx} outside 1..4")
-    return float(geometry_at(p).Rfr[i - 1, j - 1, k - 1, l - 1])
+    return _per_point(geometry_at(p).Rfr[..., i - 1, j - 1, k - 1, l - 1])
 
 
 def ricci_frame(p) -> np.ndarray:
-    """Ricci matrix in the frame: Ric[i,j] = sum_a g(R(e_i,e_a)e_a,e_j)."""
-    return np.einsum("iaaj->ij", geometry_at(p).Rfr)
+    """Ricci matrix in the frame: Ric[..., i, j] = sum_a g(R(e_i,e_a)e_a,e_j)."""
+    return _ricci(geometry_at(p).Rfr)
 
 
 def scalar_curvature(p) -> float:
-    return float(np.trace(ricci_frame(p)))
+    return _per_point(np.trace(ricci_frame(p), axis1=-2, axis2=-1))
 
 
 def coercivity_check(p, v: FrameVector, lam: float) -> float:
-    """Ric(v, v) - lam * g(v, v) for a frame vector v at p."""
-    ric = ricci_frame(p)
+    """Ric(v, v) - lam * g(v, v) for a frame vector v (components [..., i]) at p."""
     c = v.comp
-    return float(c @ ric @ c - lam * (c @ c))
+    return _per_point(np.einsum("...i,...ij,...j->...", c, ricci_frame(p), c) - lam * np.einsum("...i,...i->...", c, c))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, as_point, coordinate_field
+from .chart import AnalyticVectorField, _as_points, _per_point, coordinate_field
 from .curvature import geometry_at
 
 __all__ = [
@@ -70,7 +70,8 @@ class TensionValue:
     vertical: np.ndarray
 
     def max_component(self) -> float:
-        return float(np.maximum(np.max(np.abs(self.horizontal)), np.max(np.abs(self.vertical))))
+        """Largest |component| of either part, per point."""
+        return _per_point(np.maximum(np.max(np.abs(self.horizontal), axis=-1), np.max(np.abs(self.vertical), axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -108,12 +109,12 @@ def corollary_field(fam: CorollaryFamily) -> AnalyticVectorField:
 
 
 def _field_data(X: AnalyticVectorField, p):
-    """The geometry at p and the frame component jets of X: val[k], grad[a, k], hess[a, b, k]."""
+    """The geometry at p and the frame component jets of X: val[..., k], grad[..., a, k], hess[..., a, b, k]."""
     return (geometry_at(p), *X.frame_component_jets(p))
 
 
 def _require_st_only(grad: np.ndarray):
-    worst = float(np.max(np.abs(grad[0:2, :])))
+    worst = float(np.max(np.abs(grad[..., 0:2, :])))
     if worst > _ST_TOL:
         raise NotSTOnly(f"field components depend on x or y (gradient {worst:.3e})")
 
@@ -122,27 +123,43 @@ def _rough_laplacian(geo, val, grad, hess) -> np.ndarray:
     E, dE, fc, dfc = geo.E, geo.dE, geo.fc, geo.dfc
 
     eX = E @ grad  # eX[i, k] = e_i(X_k)
-    eeX = np.einsum("ia,aib,bk->ik", E, dE, grad) + np.einsum("ia,ib,abk->ik", E, E, hess)
-    edfc = np.einsum("im,mikj->ikj", E, dfc)  # e_i(fc[i,k,j])
+    eeX = np.einsum("...ib,...bk->...ik", np.einsum("...ia,...aib->...ib", E, dE), grad)
+    eeX = eeX + np.einsum("...ib,...ibk->...ik", E, np.einsum("...ia,...abk->...ibk", E, hess))
+    edfc = np.einsum("...im,...mikj->...ikj", E, dfc)  # e_i(fc[i,k,j])
+    vfc = np.einsum("...k,...ikj->...ij", val, fc)  # (nabla_{e_i} e_k) X_k, frame comps j
 
-    second = eeX.sum(axis=0)
-    mixed = 2.0 * np.einsum("ik,ikj->j", eX, fc)
-    conn_deriv = np.einsum("k,ikj->j", val, edfc)
-    conn_conn = np.einsum("k,ikm,imj->j", val, fc, fc)
-    trace_dirs = np.einsum("iim->m", fc)
-    drift = np.einsum("m,mj->j", trace_dirs, eX + np.einsum("k,mkj->mj", val, fc))
+    second = eeX.sum(axis=-2)
+    mixed = 2.0 * np.einsum("...ik,...ikj->...j", eX, fc)
+    conn_deriv = np.einsum("...k,...ikj->...j", val, edfc)
+    conn_conn = np.einsum("...im,...imj->...j", vfc, fc)
+    trace_dirs = np.einsum("...iim->...m", fc)
+    drift = np.einsum("...m,...mj->...j", trace_dirs, eX + vfc)
     return second + mixed + conn_deriv + conn_conn - drift
 
 
 def _horizontal_tension(geo, val, grad, _hess) -> np.ndarray:
-    eX = geo.E @ grad
-    A = eX + np.einsum("m,imb->ib", val, geo.fc)  # A[i,b] = (nabla_{e_i} X)_b
-    return np.einsum("a,ib,abik->k", val, A, geo.Rfr)
+    A = geo.E @ grad + np.einsum("...m,...imb->...ib", val, geo.fc)  # A[i,b] = (nabla_{e_i} X)_b
+    return np.einsum("...ib,...bik->...k", A, np.einsum("...a,...abik->...bik", val, geo.Rfr))
+
+
+def _tension(geo, val, grad, hess) -> TensionValue:
+    return TensionValue(_horizontal_tension(geo, val, grad, hess), _rough_laplacian(geo, val, grad, hess))
+
+
+def _section_equations(t, val, grad, hess) -> np.ndarray:
+    _require_st_only(grad)
+    # component indices first: v[k], ds[k] = d/ds X_k, lap[k] = (d2/dt2 + d2/ds2) X_k
+    v, ds, lap = (np.moveaxis(a, -1, 0) for a in (val, grad[..., 2, :], hess[..., 3, 3, :] + hess[..., 2, 2, :]))
+    eq1 = 4 * t * t * lap[0] + 4 * t * ds[1] - 3 * v[0]
+    eq2 = 4 * t * t * lap[1] - 4 * t * ds[0] - 3 * v[1]
+    eq3 = 2 * t * t * lap[2] - 4 * t * ds[3] - 3 * v[2]
+    eq4 = 2 * t * t * lap[3] + 4 * t * ds[2] - 3 * v[3]
+    return np.stack([eq1, eq2, eq3, eq4], axis=-1)
 
 
 def rough_laplacian(X: AnalyticVectorField, p) -> np.ndarray:
     """Frame components of the rough Laplacian of X at p."""
-    return _rough_laplacian(*_field_data(X, as_point(p)))
+    return _rough_laplacian(*_field_data(X, p))
 
 
 def harmonic_section_residual(X: AnalyticVectorField, p) -> np.ndarray:
@@ -151,7 +168,7 @@ def harmonic_section_residual(X: AnalyticVectorField, p) -> np.ndarray:
     Raises :class:`NotSTOnly` when the frame components of X depend on x
     or y at p (checked through the jet gradients).
     """
-    geo, val, grad, hess = _field_data(X, as_point(p))
+    geo, val, grad, hess = _field_data(X, p)
     _require_st_only(grad)
     return _rough_laplacian(geo, val, grad, hess)
 
@@ -162,25 +179,12 @@ def harmonic_section_equations(X: AnalyticVectorField, p) -> np.ndarray:
     Independent of the connection pipeline.  Componentwise, the intrinsic
     rough Laplacian equals (eq1, eq2, 2*eq3, 2*eq4).
     """
-    point = as_point(p)
-    _, val, grad, hess = _field_data(X, point)
-    _require_st_only(grad)
-    t = point.t
-    ds, dt = grad[2], grad[3]
-    dss, dtt = hess[2, 2], hess[3, 3]
-    return np.array(
-        [
-            4 * t * t * (dtt[0] + dss[0]) + 4 * t * ds[1] - 3 * val[0],
-            4 * t * t * (dtt[1] + dss[1]) - 4 * t * ds[0] - 3 * val[1],
-            2 * t * t * (dtt[2] + dss[2]) - 4 * t * ds[3] - 3 * val[2],
-            2 * t * t * (dtt[3] + dss[3]) + 4 * t * ds[2] - 3 * val[3],
-        ]
-    )
+    return _section_equations(_as_points(p)[..., 3], *X.frame_component_jets(p))
 
 
 def horizontal_tension(X: AnalyticVectorField, p) -> np.ndarray:
     """Frame components of sum_i R(X, nabla_{e_i} X) e_i at p."""
-    return _horizontal_tension(*_field_data(X, as_point(p)))
+    return _horizontal_tension(*_field_data(X, p))
 
 
 def horizontal_tension_expanded(X: AnalyticVectorField, p) -> np.ndarray:
@@ -189,13 +193,12 @@ def horizontal_tension_expanded(X: AnalyticVectorField, p) -> np.ndarray:
     Spelled out from the curvature and connection tables; cross-checks
     :func:`horizontal_tension` without touching the computed tensors.
     """
-    point = as_point(p)
-    _, v, grad, _ = _field_data(X, point)
+    t = _as_points(p)[..., 3]
+    v, grad, _ = X.frame_component_jets(p)
     _require_st_only(grad)
-    t = point.t
-    X1, X2, X3, X4 = v
-    s1, s2, s3, s4 = grad[2]  # d/ds of the frame components
-    t1, t2, t3, t4 = grad[3]  # d/dt
+    X1, X2, X3, X4 = np.moveaxis(v, -1, 0)
+    s1, s2, s3, s4 = np.moveaxis(grad[..., 2, :], -1, 0)  # d/ds of the frame components
+    t1, t2, t3, t4 = np.moveaxis(grad[..., 3, :], -1, 0)  # d/dt
     line1 = (
         3 * X3 * X2
         + 2 * t * X3 * s1
@@ -231,10 +234,9 @@ def horizontal_tension_expanded(X: AnalyticVectorField, p) -> np.ndarray:
         + 8 * X3 * X3
         + 8 * t * X3 * s4
     )
-    return np.array([line1, line2, line3, line4])
+    return np.stack([line1, line2, line3, line4], axis=-1)
 
 
 def harmonic_map_residual(X: AnalyticVectorField, p) -> TensionValue:
     """Both tension parts of X as a map into the tangent bundle at p."""
-    data = _field_data(X, as_point(p))
-    return TensionValue(_horizontal_tension(*data), _rough_laplacian(*data))
+    return _tension(*_field_data(X, p))

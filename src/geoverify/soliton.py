@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, as_point, coordinate_field, eval_component, frame_field, metric_jets
-from .curvature import geometry_at, ricci_frame
+from .chart import AnalyticVectorField, _per_point, coordinate_field, eval_component, frame_field, metric_jets
+from .curvature import _ricci, geometry_at
 from .jets import sqrt
 
 __all__ = [
@@ -105,28 +105,27 @@ def soliton_frame_components(params: SolitonParams) -> AnalyticVectorField:
     return frame_field(a1, a2, a3, a4)
 
 
-def _frame_derivative_data(xi: AnalyticVectorField, p):
-    """values alpha_k, frame directional derivatives D[i,k] = e_i(alpha_k)."""
-    geo = geometry_at(p)
-    alpha, dalpha, _ = xi.frame_component_jets(p)  # dalpha[a, k] = d_a alpha_k
-    return geo, alpha, geo.E @ dalpha  # D[i, k] = sum_a E[i,a] d_a alpha_k
+def _beta(geo, xi: AnalyticVectorField, p) -> np.ndarray:
+    val, grad, _ = xi.frame_component_jets(p)
+    return geo.E @ grad + np.einsum("...k,...ikj->...ij", val, geo.fc)
 
 
 def beta_matrix(xi: AnalyticVectorField, p) -> np.ndarray:
-    """beta[i,j] = g(nabla_{e_i} xi, e_j) at p."""
-    geo, alpha, D = _frame_derivative_data(xi, p)
-    return D + np.einsum("k,ikj->ij", alpha, geo.fc)
+    """beta[..., i, j] = g(nabla_{e_i} xi, e_j) at p."""
+    return _beta(geometry_at(p), xi, p)
 
 
 def lie_derivative_metric(xi: AnalyticVectorField, p) -> np.ndarray:
     """(L_xi g)(e_i, e_j) = beta[i,j] + beta[j,i] at p."""
     beta = beta_matrix(xi, p)
-    return beta + beta.T
+    return beta + np.swapaxes(beta, -1, -2)
 
 
 def soliton_residual(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     """Ric + (1/2) L_xi g - lam g in the frame; zero iff (xi, lam) is a soliton at p."""
-    return ricci_frame(p) + 0.5 * lie_derivative_metric(xi, p) - lam * np.eye(4)
+    geo = geometry_at(p)
+    beta = _beta(geo, xi, p)
+    return _ricci(geo.Rfr) + 0.5 * (beta + np.swapaxes(beta, -1, -2)) - lam * np.eye(4)
 
 
 def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
@@ -136,8 +135,10 @@ def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     computed Ricci.  Diagonal entries equal the residual's diagonal;
     off-diagonal entries are twice the residual's (same zero set).
     """
-    _, a, D = _frame_derivative_data(xi, p)
-    out = np.empty((4, 4))
+    alpha, dalpha, _ = xi.frame_component_jets(p)  # dalpha[..., a, k] = d_a alpha_k
+    # values a[k] and frame derivatives D[i, k] = e_i(alpha_k), component indices first
+    a, D = np.moveaxis(alpha, -1, 0), np.moveaxis(geometry_at(p).E @ dalpha, (-2, -1), (0, 1))
+    out = np.empty(D.shape)
     out[0, 0] = D[0, 0] - a[3] - lam
     out[1, 1] = D[1, 1] + a[3] - lam
     out[2, 2] = D[2, 2] - 2.0 * a[3] - lam - 6.0
@@ -148,7 +149,7 @@ def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     out[1, 2] = out[2, 1] = D[1, 2] + D[2, 1]
     out[1, 3] = out[3, 1] = D[1, 3] - a[1] + D[3, 1]
     out[2, 3] = out[3, 2] = D[2, 3] + 2.0 * a[2] + D[3, 2]
-    return out
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,11 @@ COMPONENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _dual_one_form_jets(xi: AnalyticVectorField, p):
-    """Value w[b] and gradient dw[m, b] of the metric dual w_b = g_ba xi^a."""
+    """Value w[..., b] and gradient dw[..., m, b] of the metric dual w_b = g_ba xi^a."""
     g, dg, _ = metric_jets(p)
     v, dv, _ = xi.coordinate_component_jets(p)
-    return g @ v, dg @ v + dv @ g.T
+    w = np.einsum("...ba,...a->...b", g, v)
+    return w, np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)
 
 
 def dual_one_form(xi: AnalyticVectorField, p) -> OneFormValue:
@@ -179,13 +181,23 @@ def dual_one_form(xi: AnalyticVectorField, p) -> OneFormValue:
 
 
 def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
-    """The six components (d_a w_b - d_b w_a) of d(xi-flat) at p.
+    """The six components (d_a w_b - d_b w_a) of d(xi-flat) at p, shape (..., 6).
 
     All six vanish on an open set iff xi is locally a gradient there;
     ordering follows :data:`COMPONENT_PAIRS`.
     """
     _, dw = _dual_one_form_jets(xi, p)
-    return np.array([dw[a, b] - dw[b, a] for a, b in COMPONENT_PAIRS])
+    a, b = np.array(COMPONENT_PAIRS).T
+    return dw[..., a, b] - dw[..., b, a]
+
+
+def _scalar_laplacian(geo, grad, hess) -> np.ndarray:
+    E = geo.E
+    second = np.einsum("...ib,...b->...", np.einsum("...ia,...aib->...ib", E, geo.dE), grad)
+    second = second + np.einsum("...ib,...ib->...", E, np.einsum("...ia,...ab->...ib", E, hess))
+    trace_dirs = np.einsum("...iim->...m", geo.fc)  # sum_i nabla_{e_i} e_i, frame comps
+    drift = np.einsum("...m,...m->...", trace_dirs, np.einsum("...ma,...a->...m", E, grad))
+    return second - drift
 
 
 def scalar_laplacian(f, p) -> float:
@@ -193,11 +205,5 @@ def scalar_laplacian(f, p) -> float:
 
     ``f`` is a closed-form callable of (x, y, s, t) evaluable on jets.
     """
-    geo = geometry_at(as_point(p))
     _, grad, hess = eval_component(f, p)
-    second = np.einsum("ia,aib,b->", geo.E, geo.dE, grad) + np.einsum(
-        "ia,ib,ab->", geo.E, geo.E, hess
-    )
-    trace_dirs = np.einsum("iim->m", geo.fc)  # sum_i nabla_{e_i} e_i, frame comps
-    drift = trace_dirs @ (geo.E @ grad)
-    return float(second - drift)
+    return _per_point(_scalar_laplacian(geometry_at(p), grad, hess))

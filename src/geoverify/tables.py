@@ -68,18 +68,6 @@ def full_curvature_tensor() -> np.ndarray:
     """
     R = np.zeros((4, 4, 4, 4))
     for (i, j, k, l), v in CURVATURE_TABLE.items():
-        R[i - 1, j - 1, k - 1, l - 1] = v
-    changed = True
-    while changed:
-        changed = False
-        for gen in (
-            lambda a: -a.transpose(1, 0, 2, 3),
-            lambda a: -a.transpose(0, 1, 3, 2),
-            lambda a: a.transpose(2, 3, 0, 1),
-        ):
-            G = gen(R)
-            mask = (R == 0) & (G != 0)
-            if mask.any():
-                R[mask] = G[mask]
-                changed = True
+        for (a, b, c, d), sign in (((i, j, k, l), 1), ((j, i, k, l), -1), ((i, j, l, k), -1), ((j, i, l, k), 1)):
+            R[a - 1, b - 1, c - 1, d - 1] = R[c - 1, d - 1, a - 1, b - 1] = sign * v
     return R

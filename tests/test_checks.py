@@ -160,13 +160,26 @@ def test_non_finite_residual_fails_at_first_offending_point(capsys):
     assert not np.isfinite(d["max_residual"])
     cfg = RunConfig(points=5, box=Box(*map(float, box.split(","))))
     assert d["witness_point"] == list(_sample_point(cfg, "lemma2", 0).astuple())
-    # an overflow inside any check (e.g. a power of t) fails that check, not the run
-    assert main(["all", f"--box={box}", "--points", "3"]) == 1
-    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["check_name"] for r in reports] == list(CHECK_NAMES)
-    for r in reports:
-        assert r["pass"] is False and not np.isfinite(r["max_residual"])
-        assert r["witness_point"] == list(_sample_point(cfg, r["check_name"], 0).astuple())
+    # an overflow inside any check (e.g. a power of t) fails that check, not the run; so does a
+    # domain error (t*t underflows to 0 in the metric entry 1/(4t^2)), whose residual is NaN
+    for box in (box, "-2,2,-2,2,-2,2,1e-200,1e-199"):
+        cfg = RunConfig(points=3, box=Box(*map(float, box.split(","))))
+        assert main(["all", f"--box={box}", "--points", "3"]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        reports = [json.loads(line) for line in out.out.splitlines()]
+        assert [r["check_name"] for r in reports] == list(CHECK_NAMES)
+        for r in reports:
+            assert r["pass"] is False and not np.isfinite(r["max_residual"])
+            assert r["witness_point"] == list(_sample_point(cfg, r["check_name"], 0).astuple())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_domain_error_on_the_nongradient_grid_fails_at_that_grid_point():
+    # the sampled points stay away from t = 1e-170, but the grid's first t-row sits on it
+    rep = run_suite("nongradient", RunConfig(points=5, box=Box(tmin=1e-170)))
+    assert not rep.passed and np.isnan(rep.max_residual)
+    assert rep.witness_point == (-2.0, -2.0, -2.0, 1e-170)
 
 
 def test_failed_inequality_fails_at_any_tolerance(capsys):
