@@ -29,28 +29,16 @@ explicit conversion at a point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
 from .jets import NVARS, DomainError, Jet2, _require, point_jets, sqrt
 
 __all__ = [
-    "Point",
-    "as_point",
-    "CoordVector",
-    "FrameVector",
-    "AnalyticVectorField",
-    "coordinate_field",
-    "frame_field",
-    "constant_coordinate_field",
-    "constant_frame_field",
-    "metric_at",
-    "inverse_metric_at",
-    "frame_at",
-    "coframe_at",
-    "to_frame",
-    "to_coord",
+    "Point", "as_point", "CoordVector", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field",
+    "constant_coordinate_field", "constant_frame_field", "metric_at", "inverse_metric_at", "frame_at", "coframe_at",
+    "to_frame", "to_coord",
 ]
 
 
@@ -197,11 +185,6 @@ def _per_point(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def eval_component(f: Component, p) -> _JetArrays:
-    """Evaluate a component function at p: value, gradient (..., 4) and Hessian (..., 4, 4)."""
-    return _jets(f, p)
-
-
 def metric_at(p) -> np.ndarray:
     """Coordinate metric matrix (4x4) at p."""
     return metric_jets(p)[0]
@@ -285,10 +268,7 @@ class AnalyticVectorField:
 
     def frame_component_jets(self, p) -> _JetArrays:
         """Jets of the frame components at p (converting if needed): th_j(X)."""
-        own = self.component_jets(p)
-        if self.basis == "frame":
-            return own
-        return _apply(coframe_jets(p), own)
+        return next(frame_jets_of([self], p))
 
     def coordinate_component_jets(self, p) -> _JetArrays:
         """Jets of the coordinate components at p (converting if needed): sum_j X_j e_j."""
@@ -302,6 +282,17 @@ class AnalyticVectorField:
 
     def coordinate_values(self, p) -> np.ndarray:
         return self.coordinate_component_jets(p)[0]
+
+
+def frame_jets_of(fields: Iterable[AnalyticVectorField], p) -> Iterator[_JetArrays]:
+    """Jets of each field's frame components at p in turn, evaluating the coframe at most once for all of them."""
+    coframe = None
+    for X in fields:
+        own = X.component_jets(p)
+        if X.basis == "coordinate":
+            coframe = coframe or coframe_jets(p)
+            own = _apply(coframe, own)
+        yield own
 
 
 def coordinate_field(fx: Component, fy: Component, fs: Component, ft: Component) -> AnalyticVectorField:

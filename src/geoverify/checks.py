@@ -11,12 +11,17 @@ claims in order, points in sampling order), so that the check fails.  A
 check passes when every inequality holds and its ``max_residual`` is
 below the threshold.
 
-Sampling is counter-based: the stream for point ``i`` of check ``name``
-is seeded by (seed, name, i), so reports are reproducible and adding a
-check never perturbs another check's points.  A check builds the
-geometry once for its batch and evaluates each field once over it.  A
-domain error at one point stops the batch, so the check fails with a NaN
-``max_residual`` at that point.
+Sampling is counter-based: each (seed, stream name) pair keys one Philox
+stream, and row ``i`` of a check's points, or of any other per-point
+draw, is row ``i`` of one draw from its stream.  It depends on (seed,
+stream, i) alone, so reports are reproducible and neither more points
+nor another check perturb it.  Each stream is drawn once for all N rows;
+the geometry-heavy part of a check then runs over blocks of ``_CHUNK``
+rows, building the geometry once per block and each field once over it,
+and each claim's residuals are joined across blocks in sampling order.
+So the block size bounds a check's memory but never changes its report.
+A domain error stops the check, which fails with a NaN ``max_residual``
+at the row it names.
 """
 
 from __future__ import annotations
@@ -31,22 +36,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import FrameVector, Point, as_point, constant_frame_field, coordinate_field, frame_field
+from .chart import FrameVector, as_point, constant_frame_field, coordinate_field, frame_field, frame_jets_of
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily, corollary_field
 from .jets import DomainError
 from .soliton import SolitonParams
 
-__all__ = [
-    "ConfigError",
-    "UnknownCheck",
-    "Box",
-    "RunConfig",
-    "CheckReport",
-    "CHECK_NAMES",
-    "run_suite",
-    "run_all",
-]
+__all__ = ["ConfigError", "UnknownCheck", "Box", "RunConfig", "CheckReport", "CHECK_NAMES", "run_suite", "run_all"]
+
+_CHUNK = 1024  # rows evaluated together: bounds a check's memory, never changes its report
 
 
 class ConfigError(Exception):
@@ -71,13 +69,7 @@ class Box:
     tmax: float = 2.0
 
     def validate(self):
-        pairs = [
-            (self.xmin, self.xmax),
-            (self.ymin, self.ymax),
-            (self.smin, self.smax),
-            (self.tmin, self.tmax),
-        ]
-        for lo, hi in pairs:
+        for lo, hi in zip(self.lows(), self.highs()):
             if not -math.inf < lo <= hi < math.inf:
                 raise ConfigError(f"sampling interval [{lo}, {hi}] must be finite and non-empty")
         if not self.tmin > 0.0:
@@ -132,23 +124,6 @@ class CheckReport:
         )
 
 
-def _rng(seed: int, name: str, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode()), index])
-
-
-def _sample_point(cfg: RunConfig, name: str, index: int) -> Point:
-    u = _rng(cfg.seed, name, index).uniform(cfg.box.lows(), cfg.box.highs())
-    return Point(*u)
-
-
-def _sample_params(cfg: RunConfig, name: str, index: int, require_c123: bool = False) -> SolitonParams:
-    rng = _rng(cfg.seed, name + "/params", index)
-    c = rng.uniform(-3.0, 3.0, 5)
-    while require_c123 and float(np.max(np.abs(c[:3]))) < 0.1:
-        c = rng.uniform(-3.0, 3.0, 5)
-    return SolitonParams(*c)
-
-
 class _Claim(NamedTuple):
     """Per-point residuals of one sub-claim; ``margin`` is None for a ``zero`` claim."""
 
@@ -186,21 +161,42 @@ def _reduce(claims: Sequence[_Claim]) -> tuple[float, object]:
     return worst, witness
 
 
+def _chunked(P: np.ndarray, block: Callable) -> list[_Claim]:
+    """The claims of ``block(P[rows], rows)`` over consecutive blocks of _CHUNK rows, each joined in row order."""
+    parts = []
+    for start in range(0, len(P), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        try:
+            parts.append(block(P[rows], rows))
+        except DomainError as exc:  # name the check's row, not the block's
+            exc.index += start
+            raise
+    return [
+        _Claim(np.concatenate([c.residuals for c in claim]), np.concatenate([c.points for c in claim]), claim[0].margin)
+        for claim in zip(*parts)
+    ]
+
+
+def _stream(cfg: RunConfig, name: str) -> np.random.Generator:
+    """The counter-based stream of ``name`` at the run's seed."""
+    return np.random.Generator(np.random.Philox(key=[cfg.seed & 0xFFFFFFFF, zlib.crc32(name.encode())]))
+
+
 def _sample_points(cfg: RunConfig, name: str) -> np.ndarray:
-    """The check's points as an (N, 4) batch; row i is ``_sample_point(cfg, name, i)``."""
-    return np.array([_sample_point(cfg, name, i).astuple() for i in range(cfg.points)])
+    """The check's points as an (N, 4) batch: row i is the i-th point drawn from the check's stream."""
+    return _stream(cfg, name).uniform(cfg.box.lows(), cfg.box.highs(), (cfg.points, 4))
 
 
-def _uniform(cfg: RunConfig, stream: str, low: float, high: float, size) -> np.ndarray:
-    """Row i is the draw from point i's own stream, shape (N, *size)."""
-    return np.array([_rng(cfg.seed, stream, i).uniform(low, high, size) for i in range(cfg.points)])
+def _uniform(cfg: RunConfig, stream: str, low: float, high: float, size: tuple) -> np.ndarray:
+    """Row i is point i's draw of shape ``size`` from the stream, shape (N, *size)."""
+    return _stream(cfg, stream).uniform(low, high, (cfg.points, *size))
 
 
-def _params(cfg: RunConfig, name: str) -> SolitonParams:
-    """The pinned soliton constants, else point i's sampled ones, each constant an (N,) array."""
+def _params(cfg: RunConfig, name: str) -> tuple[np.ndarray, float]:
+    """Row i holds point i's soliton constants (c1..c5), pinned or drawn, beside the soliton constant lambda."""
     if cfg.soliton_params is not None:
-        return cfg.soliton_params
-    return SolitonParams(*np.array([_sample_params(cfg, name, i).constants() for i in range(cfg.points)]).T)
+        return np.broadcast_to(cfg.soliton_params.constants(), (cfg.points, 5)), cfg.soliton_params.lam
+    return _uniform(cfg, name + "/params", -3.0, 3.0, (5,)), soliton.SOLITON_LAMBDA
 
 
 def _worst(a: np.ndarray, axes: int) -> np.ndarray:
@@ -209,57 +205,68 @@ def _worst(a: np.ndarray, axes: int) -> np.ndarray:
 
 
 def _check_lemma1(cfg: RunConfig, P: np.ndarray):
-    return len(P), [_zero(_worst(frame_connection(P) - tables.CONNECTION_TABLE, 3), P)]
+    return len(P), _chunked(P, lambda Q, _: [_zero(_worst(frame_connection(Q) - tables.CONNECTION_TABLE, 3), Q)])
 
 
 def _check_lemma2(cfg: RunConfig, P: np.ndarray):
-    ric = ricci_frame(P)
-    scalar_err = np.abs(np.trace(ric, axis1=-2, axis2=-1) - tables.SCALAR_CURVATURE)
-    return len(P), [_zero(np.maximum(_worst(ric - tables.RICCI_FRAME, 2), scalar_err), P)]
+    def block(Q, _):
+        ric = ricci_frame(Q)
+        scalar_err = np.abs(np.trace(ric, axis1=-2, axis2=-1) - tables.SCALAR_CURVATURE)
+        return [_zero(np.maximum(_worst(ric - tables.RICCI_FRAME, 2), scalar_err), Q)]
+
+    return len(P), _chunked(P, block)
 
 
 def _check_riemc(cfg: RunConfig, P: np.ndarray):
-    return len(P), [_zero(_worst(riemann_frame_table(P) - tables.full_curvature_tensor(), 4), P)]
+    table = tables.full_curvature_tensor()
+    return len(P), _chunked(P, lambda Q, _: [_zero(_worst(riemann_frame_table(Q) - table, 4), Q)])
 
 
 def _check_theorem1(cfg: RunConfig, P: np.ndarray):
-    params = _params(cfg, "theorem1")
-    return len(P), [_zero(_worst(soliton.soliton_residual(soliton.soliton_field(params), params.lam, P), 2), P)]
+    c, lam = _params(cfg, "theorem1")
 
+    def block(Q, rows):
+        xi = soliton.soliton_field(SolitonParams(*c[rows].T))
+        return [_zero(_worst(soliton.soliton_residual(xi, lam, Q), 2), Q)]
 
-def _grid_points(box: Box, n: int = 5) -> np.ndarray:
-    """The n^4 grid over the box as rows (x, y, s, t), t varying fastest."""
-    axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lows(), box.highs())]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    return len(P), _chunked(P, block)
 
 
 def _check_nongradient(cfg: RunConfig, P: np.ndarray):
     # exact closedness defect of the c3 member: (d xi-flat)_st = 1/(2 t^3)
     xi3 = soliton.soliton_field(SolitonParams(c3=1.0))
-    claims = [_zero(np.abs(soliton.closedness_defect(xi3, P)[:, 5] - 1.0 / (2.0 * P[:, 3] ** 3)), P)]
+    defect = lambda Q: np.abs(soliton.closedness_defect(xi3, Q)[:, 5] - 1.0 / (2.0 * Q[:, 3] ** 3))
+    claims = _chunked(P, lambda Q, _: [_zero(defect(Q), Q)])
 
-    # every sampled member with (c1,c2,c3) != 0 must fail closedness somewhere
-    # on the grid; the defect is affine in the constants, so evaluate a basis
-    grid = _grid_points(cfg.box)
+    # every sampled member with (c1,c2,c3) != 0 must fail closedness somewhere on the
+    # 5^4 grid over the box; the defect is affine in the constants, so evaluate a basis
+    axes = [np.linspace(lo, hi, 5) for lo, hi in zip(cfg.box.lows(), cfg.box.highs())]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
     basis = [SolitonParams()] + [SolitonParams(**{f"c{k}": 1.0}) for k in range(1, 6)]
     try:
         defect0, *ddefect = [soliton.closedness_defect(soliton.soliton_field(c), grid) for c in basis]
     except DomainError as exc:  # a grid point left the domain: fail there
         return len(P) + len(grid), claims + [_zero([math.nan], [grid[exc.index]])]
     ddefect = np.array(ddefect) - defect0  # [k, point, component]
-    n_params = 20
-    for j in range(n_params):
-        params = _sample_params(cfg, "nongradient", j, require_c123=True)
-        d = defect0 + np.tensordot(np.array(params.constants()), ddefect, axes=1)
-        claims.append(_exceeds(np.max(np.abs(d), axis=1), grid))
-    return len(P) + len(grid), claims
+    # the first 20 members drawn from the stream with max|c1, c2, c3| >= 0.1
+    stream, c = _stream(cfg, "nongradient/params"), np.empty((0, 5))
+    while len(c) < 20:
+        draw = stream.uniform(-3.0, 3.0, (20, 5))
+        c = np.concatenate([c, draw[np.max(np.abs(draw[:, :3]), axis=1) >= 0.1]])
+    d = defect0 + np.tensordot(c[:20], ddefect, axes=1)  # [member, point, component]
+    return len(P) + len(grid), claims + [_exceeds(r, grid) for r in np.max(np.abs(d), axis=-1)]
 
 
 def _check_harmonic_components(cfg: RunConfig, P: np.ndarray):
-    _, grad, hess = soliton.soliton_field(_params(cfg, "harmonic-components")).component_jets(P)
-    geo = geometry_at(P)
-    laplacians = [soliton._scalar_laplacian(geo, grad[..., k], hess[..., k]) for k in range(4)]
-    return len(P), [_zero(np.max(np.abs(laplacians), axis=0), P)]
+    c, _ = _params(cfg, "harmonic-components")
+
+    def block(Q, rows):
+        _, grad, hess = soliton.soliton_field(SolitonParams(*c[rows].T)).component_jets(Q)
+        geo = geometry_at(Q)
+        laplacians = [soliton._scalar_laplacian(geo, grad[..., k], hess[..., k]) for k in range(4)]
+        return [_zero(np.max(np.abs(laplacians), axis=0), Q)]
+
+    return len(P), _chunked(P, block)
 
 
 def _polynomial_field(coeffs: np.ndarray):
@@ -274,11 +281,15 @@ def _polynomial_field(coeffs: np.ndarray):
 
 
 def _check_theorem3(cfg: RunConfig, P: np.ndarray):
-    X = _polynomial_field(_uniform(cfg, "theorem3/fields", -1.0, 1.0, (4, 6)))
-    val, grad, hess = X.frame_component_jets(P)
-    laplacian = harmonic._rough_laplacian(geometry_at(P), val, grad, hess)
+    coeffs = _uniform(cfg, "theorem3/fields", -1.0, 1.0, (4, 6))
     weights = np.array([1.0, 1.0, 2.0, 2.0])
-    return len(P), [_zero(_worst(laplacian - weights * harmonic._section_equations(P[:, 3], val, grad, hess), 1), P)]
+
+    def block(Q, rows):
+        val, grad, hess = _polynomial_field(coeffs[rows]).frame_component_jets(Q)
+        laplacian = harmonic._rough_laplacian(geometry_at(Q), val, grad, hess)
+        return [_zero(_worst(laplacian - weights * harmonic._section_equations(Q[:, 3], val, grad, hess), 1), Q)]
+
+    return len(P), _chunked(P, block)
 
 
 def _perturbed_power_field(slot: int, exponent: float):
@@ -289,48 +300,56 @@ def _perturbed_power_field(slot: int, exponent: float):
 
 
 def _check_corollary(cfg: RunConfig, P: np.ndarray):
-    c = [_uniform(cfg, f"corollary/c{k}", -3.0, 3.0, 2) for k in (1, 2, 3, 4)]  # per point (c1, c2)
-    families = [corollary_field(CorollaryFamily(k, *c[k - 1].T)) for k in (1, 2, 3, 4)]
-    # the power-law exponents are forced: a shifted exponent must leave a
-    # visible residual somewhere
-    shifted = [
-        _perturbed_power_field(slot, exponent + 0.01)
-        for slot in (3, 4)
-        for exponent in (harmonic.EXPONENT_PLUS, harmonic.EXPONENT_MINUS)
-    ]
-    geo = geometry_at(P)
-    # [field, point]: families 1..4, then shifted
-    res = np.array([_worst(harmonic._rough_laplacian(geo, *X.frame_component_jets(P)), 1) for X in families + shifted])
-    return res.size, [_zero(r, P) for r in res[:4]] + [_exceeds(r, P) for r in res[4:]]
+    c = [_uniform(cfg, f"corollary/c{k}", -3.0, 3.0, (2,)) for k in (1, 2, 3, 4)]  # per point (c1, c2)
+    # the power-law exponents are forced: a shifted exponent must leave a visible residual somewhere
+    exponents = (harmonic.EXPONENT_PLUS, harmonic.EXPONENT_MINUS)
+    shifted = [_perturbed_power_field(slot, exponent + 0.01) for slot in (3, 4) for exponent in exponents]
+
+    def block(Q, rows):
+        families = [corollary_field(CorollaryFamily(k, *c[k - 1][rows].T)) for k in (1, 2, 3, 4)]
+        geo = geometry_at(Q)
+        # families 1..4, then shifted
+        res = [_worst(harmonic._rough_laplacian(geo, *jets), 1) for jets in frame_jets_of(families + shifted, Q)]
+        return [_zero(r, Q) for r in res[:4]] + [_exceeds(r, Q) for r in res[4:]]
+
+    return 8 * len(P), _chunked(P, block)
 
 
 def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
-    geo = geometry_at(P)
-
-    def tension(X):
-        return harmonic._tension(geo, *X.frame_component_jets(P))
-
-    n_zero = min(10, len(P))
-    zero_res = tension(constant_frame_field([0.0, 0.0, 0.0, 0.0])).max_component()[:n_zero]
+    comp = _uniform(cfg, "harmonic-map-witnesses/const", -2.0, 2.0, (4,))
     witnesses = [corollary_field(CorollaryFamily(k, 1.0, 0.0)) for k in (1, 2, 3, 4)]
     witnesses += [corollary_field(CorollaryFamily(k, 0.0, 1.0)) for k in (1, 2, 3, 4)]
     witnesses += [constant_frame_field(np.eye(4)[k]) for k in range(4)]
-    mags = np.array([tension(X).max_component() for X in witnesses])  # [witness, point]
+    n_zero = min(10, len(P))
 
-    # expanded quadratic identity for the last tension component
-    comp = _uniform(cfg, "harmonic-map-witnesses/const", -2.0, 2.0, 4)
-    t4 = harmonic._horizontal_tension(geo, *constant_frame_field(comp).frame_component_jets(P))[:, 3]
-    quad_res = np.abs(t4 - (2 * comp[:, 0] ** 2 + 2 * comp[:, 1] ** 2 + 8 * comp[:, 2] ** 2 + 8 * comp[:, 3] ** 2))
+    def block(Q, rows):
+        geo = geometry_at(Q)
+        head = Q[: max(0, n_zero - rows.start)]  # the block's rows among the check's first ten
+        zero_res = np.empty(0)
+        if len(head):
+            zero_jets = constant_frame_field([0.0, 0.0, 0.0, 0.0]).frame_component_jets(Q)
+            zero_res = harmonic._tension(geo, *zero_jets).max_component()[: len(head)]
+        mags = [harmonic._tension(geo, *jets).max_component() for jets in frame_jets_of(witnesses, Q)]
 
-    # a witness at or below the margin would wrongly pass as a harmonic map
-    claims = [_zero(zero_res, P[:n_zero])] + [_exceeds(m, P) for m in mags] + [_zero(quad_res, P)]
-    return n_zero + mags.size + len(P), claims
+        # expanded quadratic identity for the last tension component
+        k = comp[rows]
+        t4 = harmonic._horizontal_tension(geo, *constant_frame_field(k).frame_component_jets(Q))[:, 3]
+        quad_res = np.abs(t4 - (2 * k[:, 0] ** 2 + 2 * k[:, 1] ** 2 + 8 * k[:, 2] ** 2 + 8 * k[:, 3] ** 2))
+
+        # a witness at or below the margin would wrongly pass as a harmonic map
+        return [_zero(zero_res, head)] + [_exceeds(m, Q) for m in mags] + [_zero(quad_res, Q)]
+
+    return n_zero + len(witnesses) * len(P) + len(P), _chunked(P, block)
 
 
 def _check_coercivity(cfg: RunConfig, P: np.ndarray):
     vs = _uniform(cfg, "coercivity/vectors", -3.0, 3.0, (10, 4))  # [point, vector, component]
-    got = coercivity_check(P[:, None], FrameVector(vs), soliton.SOLITON_LAMBDA)  # batch (N, 1) meets (N, 10)
-    return 10 * len(P), [_zero(np.max(np.abs(got - 6.0 * (vs[..., 0] ** 2 + vs[..., 1] ** 2)), axis=-1), P)]
+
+    def block(Q, rows):
+        got = coercivity_check(Q[:, None], FrameVector(vs[rows]), soliton.SOLITON_LAMBDA)  # (n, 1) meets (n, 10)
+        return [_zero(np.max(np.abs(got - 6.0 * (vs[rows, :, 0] ** 2 + vs[rows, :, 1] ** 2)), axis=-1), Q)]
+
+    return 10 * len(P), _chunked(P, block)
 
 
 _REGISTRY: dict[str, Callable] = {
@@ -377,5 +396,4 @@ def run_suite(name: str, cfg: RunConfig) -> CheckReport:
 
 def run_all(cfg: RunConfig) -> list[CheckReport]:
     """Run every registered check in name order."""
-    cfg.validate()
     return [run_suite(name, cfg) for name in CHECK_NAMES]

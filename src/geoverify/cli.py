@@ -13,16 +13,7 @@ import argparse
 import os
 import sys
 
-from .checks import (
-    CHECK_NAMES,
-    Box,
-    CheckReport,
-    ConfigError,
-    RunConfig,
-    UnknownCheck,
-    run_all,
-    run_suite,
-)
+from .checks import CHECK_NAMES, Box, CheckReport, ConfigError, RunConfig, UnknownCheck, run_all, run_suite
 from .soliton import SolitonParams
 
 

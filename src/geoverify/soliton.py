@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, _per_point, coordinate_field, eval_component, frame_field, metric_jets
+from .chart import AnalyticVectorField, _jets, _per_point, coordinate_field, frame_field, metric_jets
 from .curvature import _ricci, geometry_at
 from .jets import sqrt
 
@@ -205,5 +205,5 @@ def scalar_laplacian(f, p) -> float:
 
     ``f`` is a closed-form callable of (x, y, s, t) evaluable on jets.
     """
-    _, grad, hess = eval_component(f, p)
+    _, grad, hess = _jets(f, p)
     return _per_point(_scalar_laplacian(geometry_at(p), grad, hess))

@@ -8,8 +8,8 @@ the oracles and cross-checks elsewhere in the suite.
 import numpy as np
 import pytest
 
-from geoverify import curvature, harmonic, soliton
-from geoverify.chart import FrameVector, coordinate_field
+from geoverify import chart, curvature, harmonic, soliton
+from geoverify.chart import FrameVector, constant_frame_field, coordinate_field
 from geoverify.checks import CHECK_NAMES, RunConfig, run_suite
 from geoverify.harmonic import CorollaryFamily, corollary_field
 from geoverify.jets import DomainError, point_jets, reciprocal, sqrt
@@ -174,14 +174,32 @@ def test_domain_errors_name_the_first_bad_index():
 # -- checks ----------------------------------------------------------------
 
 
+def test_frame_jets_of_matches_each_field_and_evaluates_the_coframe_once(batch, monkeypatch):
+    _, P, _ = batch
+    fields = [xy_field(), constant_frame_field([1.0, -2.0, 0.5, 3.0]), corollary_field(CorollaryFamily(3, 1.0, 0.5))]
+    singles = [X.frame_component_jets(P) for X in fields]
+    calls = []
+    coframe_jets = chart.coframe_jets
+    monkeypatch.setattr(chart, "coframe_jets", lambda p: calls.append(np.shape(p)) or coframe_jets(p))
+    together = list(chart.frame_jets_of(fields, P))
+    assert calls == [P.shape]
+    for one, many in zip(singles, together):
+        assert all(np.array_equal(a, b) for a, b in zip(one, many))  # the same conversion, bit for bit
+    list(chart.frame_jets_of(fields[1:2], P))
+    assert calls == [P.shape]  # frame-basis fields need no coframe
+
+
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
-    builds = []
-    build = curvature._build
+    builds, coframes = [], []
+    build, coframe_jets = curvature._build, chart.coframe_jets
     monkeypatch.setattr(curvature, "_build", lambda p: builds.append(np.shape(p)) or build(p))
+    monkeypatch.setattr(chart, "coframe_jets", lambda p: coframes.append(np.shape(p)) or coframe_jets(p))
     before = curvature._geometry.cache_info()
     run_suite(name, RunConfig(points=50))
     after = curvature._geometry.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     # one build over all 50 points (nongradient needs metric jets only)
     assert [int(np.prod(shape[:-1])) for shape in builds] == ([] if name == "nongradient" else [50])
+    # and at most one coframe, however many coordinate-basis fields the check converts
+    assert [int(np.prod(shape[:-1])) for shape in coframes] in ([], [50])

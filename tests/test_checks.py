@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from geoverify import checks
 from geoverify.chart import Point
 from geoverify.checks import (
     CHECK_NAMES,
@@ -12,12 +15,14 @@ from geoverify.checks import (
     UnknownCheck,
     _exceeds,
     _reduce,
-    _sample_point,
+    _sample_points,
+    _uniform,
     _zero,
     run_all,
     run_suite,
 )
 from geoverify.cli import main
+from geoverify.jets import DomainError
 from geoverify.soliton import SolitonParams
 
 FAST = RunConfig(seed=42, points=3)
@@ -159,7 +164,7 @@ def test_non_finite_residual_fails_at_first_offending_point(capsys):
     assert d["pass"] is False
     assert not np.isfinite(d["max_residual"])
     cfg = RunConfig(points=5, box=Box(*map(float, box.split(","))))
-    assert d["witness_point"] == list(_sample_point(cfg, "lemma2", 0).astuple())
+    assert d["witness_point"] == list(_sample_points(cfg, "lemma2")[0])
     # an overflow inside any check (e.g. a power of t) fails that check, not the run; so does a
     # domain error (t*t underflows to 0 in the metric entry 1/(4t^2)), whose residual is NaN
     for box in (box, "-2,2,-2,2,-2,2,1e-200,1e-199"):
@@ -171,7 +176,7 @@ def test_non_finite_residual_fails_at_first_offending_point(capsys):
         assert [r["check_name"] for r in reports] == list(CHECK_NAMES)
         for r in reports:
             assert r["pass"] is False and not np.isfinite(r["max_residual"])
-            assert r["witness_point"] == list(_sample_point(cfg, r["check_name"], 0).astuple())
+            assert r["witness_point"] == list(_sample_points(cfg, r["check_name"])[0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -275,13 +280,58 @@ def test_concurrent_evaluation_matches_serial():
 
 
 def test_counter_based_sampling_is_stable_per_point():
-    from geoverify.checks import _sample_point
-
     cfg3 = RunConfig(seed=5, points=3)
     cfg9 = RunConfig(seed=5, points=9)
-    # the point at index i depends only on (seed, check name, i)
-    for i in range(3):
-        assert _sample_point(cfg3, "lemma1", i) == _sample_point(cfg9, "lemma1", i)
+    # row i depends only on (seed, stream, i): more points keep the earlier rows
+    assert np.array_equal(_sample_points(cfg3, "lemma1"), _sample_points(cfg9, "lemma1")[:3])
+    coeffs3, coeffs9 = (_uniform(cfg, "theorem3/fields", -1.0, 1.0, (4, 6)) for cfg in (cfg3, cfg9))
+    assert coeffs3.shape == (3, 4, 6) and np.array_equal(coeffs3, coeffs9[:3])
     # distinct checks draw distinct streams
-    assert _sample_point(cfg3, "lemma1", 0) != _sample_point(cfg3, "lemma2", 0)
-    assert _sample_point(cfg3, "lemma1", 0) != _sample_point(RunConfig(seed=6, points=3), "lemma1", 0)
+    assert not np.any(_sample_points(cfg3, "lemma1") == _sample_points(cfg3, "lemma2"))
+    c1, c2 = (_uniform(cfg3, f"corollary/c{k}", -3.0, 3.0, (2,)) for k in (1, 2))
+    assert not np.any(c1 == c2)
+    # and distinct seeds too
+    assert not np.any(_sample_points(cfg3, "lemma1") == _sample_points(RunConfig(seed=6, points=3), "lemma1"))
+
+
+def _reports_without_timing(cfg: RunConfig) -> list[str]:
+    return [dataclasses.replace(rep, elapsed_ms=0.0).to_json() for rep in run_all(cfg)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 20 points are three blocks of 7, 7 and 6 rows; the tiny box fails every check at a domain error
+    cfgs = [RunConfig(points=20), RunConfig(points=3, box=Box(-2, 2, -2, 2, -2, 2, 1e-200, 1e-199))]
+    default = [_reports_without_timing(cfg) for cfg in cfgs]
+    monkeypatch.setattr(checks, "_CHUNK", 7)
+    assert [_reports_without_timing(cfg) for cfg in cfgs] == default
+
+
+def test_domain_error_in_a_block_names_the_checks_row(monkeypatch):
+    monkeypatch.setattr(checks, "_CHUNK", 7)
+    blocks, frame_connection = [], checks.frame_connection
+
+    def fails_in_third_block(Q):
+        blocks.append(len(Q))
+        if len(blocks) == 3:
+            raise DomainError("left the domain", 4)
+        return frame_connection(Q)
+
+    monkeypatch.setattr(checks, "frame_connection", fails_in_third_block)
+    cfg = RunConfig(points=20)
+    rep = run_suite("lemma1", cfg)
+    assert blocks == [7, 7, 6]
+    assert not rep.passed and np.isnan(rep.max_residual)
+    assert rep.witness_point == tuple(_sample_points(cfg, "lemma1")[2 * 7 + 4])
+
+
+def test_peak_memory_is_bounded_by_the_chunk():
+    def peak(points: int) -> int:
+        tracemalloc.start()
+        try:
+            run_suite("corollary", RunConfig(points=points))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * checks._CHUNK) <= 1.5 * peak(checks._CHUNK)
