@@ -16,9 +16,14 @@ d/dx) and the metric g = th1^2 + th2^2 + th3^2 + th4^2 has matrix
      [  0,        0,        1/(4t^2),     0 ],
      [  0,        0,           0,     1/(4t^2)]].
 
-Every entry is a closed-form expression over the jet arithmetic, so the
-same definitions serve values, gradients and Hessians, at one point or at
-a (..., 4) batch of points in one numpy evaluation.
+Each of the four tables (frame, coframe, metric, inverse metric) is one
+closed-form function of (x, y, s, t) over the jet arithmetic that forms
+each shared subexpression, such as sqrt(t) or 1/t, once and returns the
+4x4 grid.  So the same definitions serve values, gradients and Hessians,
+at one point or at a (..., 4) batch of points in one numpy evaluation.
+``_jets`` evaluates any such closed form, one returning a jet or constant,
+a 4-tuple or a 4x4 nested tuple, into ``(val, grad, hess)`` arrays, the
+only jet format that leaves this module.
 
 Vector quantities carry their basis explicitly: :class:`FrameVector`
 components are against (e1..e4), :class:`CoordVector` components against
@@ -33,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
-from .jets import NVARS, DomainError, Jet2, _require, point_jets, sqrt
+from .jets import NVARS, DomainError, Jet2, _require, point_jets, reciprocal, sqrt
 
 __all__ = [
     "Point", "as_point", "CoordVector", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field",
@@ -102,36 +107,30 @@ def _const(c: float) -> Component:
     return lambda x, y, s, t: c
 
 
-_ZERO = _const(0.0)
+# the closed-form tables, one function each that computes every shared subexpression once;
+# rows are e1..e4 resp. th1..th4, columns coordinate slots
+def _frame(x, y, s, t):
+    r = sqrt(t)
+    ir = reciprocal(r)
+    return (r, 0.0, 0.0, 0.0), (s * ir, ir, 0.0, 0.0), (0.0, 0.0, 2 * t, 0.0), (0.0, 0.0, 0.0, 2 * t)
 
-# closed-form entries; rows are e1..e4 resp. th1..th4, columns coordinate slots
-_FRAME: tuple[tuple[Component, ...], ...] = (
-    (lambda x, y, s, t: sqrt(t), _ZERO, _ZERO, _ZERO),
-    (lambda x, y, s, t: s / sqrt(t), lambda x, y, s, t: 1 / sqrt(t), _ZERO, _ZERO),
-    (_ZERO, _ZERO, lambda x, y, s, t: 2 * t, _ZERO),
-    (_ZERO, _ZERO, _ZERO, lambda x, y, s, t: 2 * t),
-)
 
-_COFRAME: tuple[tuple[Component, ...], ...] = (
-    (lambda x, y, s, t: 1 / sqrt(t), lambda x, y, s, t: -s / sqrt(t), _ZERO, _ZERO),
-    (_ZERO, lambda x, y, s, t: sqrt(t), _ZERO, _ZERO),
-    (_ZERO, _ZERO, lambda x, y, s, t: 1 / (2 * t), _ZERO),
-    (_ZERO, _ZERO, _ZERO, lambda x, y, s, t: 1 / (2 * t)),
-)
+def _coframe(x, y, s, t):
+    r = sqrt(t)
+    ir, h = reciprocal(r), reciprocal(2 * t)
+    return (ir, -s * ir, 0.0, 0.0), (0.0, r, 0.0, 0.0), (0.0, 0.0, h, 0.0), (0.0, 0.0, 0.0, h)
 
-_METRIC: tuple[tuple[Component, ...], ...] = (
-    (lambda x, y, s, t: 1 / t, lambda x, y, s, t: -s / t, _ZERO, _ZERO),
-    (lambda x, y, s, t: -s / t, lambda x, y, s, t: (s * s + t * t) / t, _ZERO, _ZERO),
-    (_ZERO, _ZERO, lambda x, y, s, t: 1 / (4 * t * t), _ZERO),
-    (_ZERO, _ZERO, _ZERO, lambda x, y, s, t: 1 / (4 * t * t)),
-)
 
-_INVERSE_METRIC: tuple[tuple[Component, ...], ...] = (
-    (lambda x, y, s, t: t + s * s / t, lambda x, y, s, t: s / t, _ZERO, _ZERO),
-    (lambda x, y, s, t: s / t, lambda x, y, s, t: 1 / t, _ZERO, _ZERO),
-    (_ZERO, _ZERO, lambda x, y, s, t: 4 * t * t, _ZERO),
-    (_ZERO, _ZERO, _ZERO, lambda x, y, s, t: 4 * t * t),
-)
+def _metric(x, y, s, t):
+    it = reciprocal(t)
+    u, q = -s * it, reciprocal(4 * t**2)  # not it**2 / 4: where t^2 underflows, a domain error, not inf
+    return (it, u, 0.0, 0.0), (u, t - s * u, 0.0, 0.0), (0.0, 0.0, q, 0.0), (0.0, 0.0, 0.0, q)
+
+
+def _inverse_metric(x, y, s, t):
+    it = reciprocal(t)
+    u, q = s * it, 4 * t**2
+    return (t + s * u, u, 0.0, 0.0), (u, it, 0.0, 0.0), (0.0, 0.0, q, 0.0), (0.0, 0.0, 0.0, q)
 
 
 _JetArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # (val, grad, hess): batch axes, derivative indices, entry
@@ -144,40 +143,39 @@ def _as_points(p) -> np.ndarray:
     return P
 
 
-def _jets(entries, p) -> _JetArrays:
-    """Evaluate one closed form, a 4-vector or a 4x4 grid of them at a point or a (..., 4) batch p.
+def _jets(f: Callable, p) -> _JetArrays:
+    """Evaluate the closed form ``f`` at a point or a (..., 4) batch p, in one call.
 
-    Returns ``val[..., e]``, ``grad[..., m, e] = d_m entry`` and ``hess[..., m, n, e] = d_m d_n entry``.
+    ``f(x, y, s, t)`` returns a jet or constant, a 4-tuple of them, or a 4x4 nested tuple.  Returns
+    ``val[..., e]``, ``grad[..., m, e] = d_m entry`` and ``hess[..., m, n, e] = d_m d_n entry``.
     """
-    table = np.array(entries, dtype=object)
     P = _as_points(p)
-    xyst = point_jets(P)
-    batch, n = P.shape[:-1], table.size
+    entries, shape = [f(*point_jets(P))], ()
+    while isinstance(entries[0], tuple):
+        shape += (len(entries[0]),)
+        entries = [e for row in entries for e in row]
+    batch, n = P.shape[:-1], len(entries)
     # stored with the batch axes innermost, viewed batch-first: einsum keeps that memory layout for its
     # results (order="K"), so every contraction downstream loops over the batch, not over length-4 axes
     shapes = (n,), (NVARS, n), (NVARS, NVARS, n)
     val, grad, hess = (np.moveaxis(np.zeros(s + batch), range(len(s)), range(-len(s), 0)) for s in shapes)
-    for k, f in enumerate(table.flat):
-        jet = f(*xyst)
+    for k, jet in enumerate(entries):
         if isinstance(jet, Jet2):
             val[..., k], grad[..., k], hess[..., k] = jet.value, jet.grad, jet.hess
         else:
             val[..., k] = jet
-    shape = table.shape
     d1, d2 = batch + (NVARS,), batch + (NVARS, NVARS)
     return val.reshape(batch + shape), grad.reshape(d1 + shape), hess.reshape(d2 + shape)
 
 
 def _apply(A: _JetArrays, x: _JetArrays) -> _JetArrays:
-    """Jets of A @ x: the product rule for each A_ij x_j, summed over j last to keep hess symmetric."""
+    """Jets of A @ x by the product rule; the cross term is added to its transpose, so hess stays symmetric."""
     (a, da, d2a), (v, dv, d2v) = A, x
-    v = v[..., None, :]  # broadcast over i
-    cross = da[..., :, None, :, :] * dv[..., None, :, None, :]  # [m, n, i, j] = d_m A_ij d_n x_j
-    hess = a[..., None, None, :, :] * d2v[..., :, :, None, :]
-    hess += v[..., None, None, :, :] * d2a
-    hess += cross + np.swapaxes(cross, -4, -3)
-    grad = a[..., None, :, :] * dv[..., :, None, :] + v[..., None, :, :] * da
-    return (a * v).sum(-1), grad.sum(-1), hess.sum(-1)
+    cross = np.einsum("...mij,...nj->...mni", da, dv)  # d_m A_ij d_n x_j
+    hess = np.einsum("...mnij,...j->...mni", d2a, v) + np.einsum("...ij,...mnj->...mni", a, d2v)
+    hess += cross + np.swapaxes(cross, -3, -2)
+    grad = np.einsum("...mij,...j->...mi", da, v) + np.einsum("...ij,...mj->...mi", a, dv)
+    return np.einsum("...ij,...j->...i", a, v), grad, hess
 
 
 def _per_point(a):
@@ -206,19 +204,19 @@ def coframe_matrix(p) -> np.ndarray:
 
 
 def metric_jets(p) -> _JetArrays:
-    return _jets(_METRIC, p)
+    return _jets(_metric, p)
 
 
 def inverse_metric_jets(p) -> _JetArrays:
-    return _jets(_INVERSE_METRIC, p)
+    return _jets(_inverse_metric, p)
 
 
 def frame_jets(p) -> _JetArrays:
-    return _jets(_FRAME, p)
+    return _jets(_frame, p)
 
 
 def coframe_jets(p) -> _JetArrays:
-    return _jets(_COFRAME, p)
+    return _jets(_coframe, p)
 
 
 def frame_at(p) -> tuple[CoordVector, CoordVector, CoordVector, CoordVector]:
@@ -264,7 +262,7 @@ class AnalyticVectorField:
 
     def component_jets(self, p) -> _JetArrays:
         """Jets ``(val[..., k], grad[..., a, k], hess[..., a, b, k])`` of the components in the field's own basis."""
-        return _jets(self.components, p)
+        return _jets(lambda *q: tuple(f(*q) for f in self.components), p)
 
     def frame_component_jets(self, p) -> _JetArrays:
         """Jets of the frame components at p (converting if needed): th_j(X)."""

@@ -36,7 +36,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import FrameVector, as_point, constant_frame_field, coordinate_field, frame_field, frame_jets_of
+from .chart import (
+    FrameVector, as_point, constant_frame_field, coordinate_field, frame_field, frame_jets_of, metric_jets,
+)
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily, corollary_field
 from .jets import DomainError
@@ -163,18 +165,21 @@ def _reduce(claims: Sequence[_Claim]) -> tuple[float, object]:
 
 def _chunked(P: np.ndarray, block: Callable) -> list[_Claim]:
     """The claims of ``block(P[rows], rows)`` over consecutive blocks of _CHUNK rows, each joined in row order."""
-    parts = []
+    parts, blocks = [], []
     for start in range(0, len(P), _CHUNK):
         rows = slice(start, start + _CHUNK)
+        blocks.append(P[rows])
         try:
-            parts.append(block(P[rows], rows))
+            parts.append(block(blocks[-1], rows))
         except DomainError as exc:  # name the check's row, not the block's
             exc.index += start
             raise
-    return [
-        _Claim(np.concatenate([c.residuals for c in claim]), np.concatenate([c.points for c in claim]), claim[0].margin)
-        for claim in zip(*parts)
-    ]
+
+    def points(claim):  # a claim at every block's own rows shares P, not a copy of it per claim
+        own = all(c.points is Q for c, Q in zip(claim, blocks))
+        return P if own else np.concatenate([c.points for c in claim])
+
+    return [_Claim(np.concatenate([c.residuals for c in claim]), points(claim), claim[0].margin) for claim in zip(*parts)]
 
 
 def _stream(cfg: RunConfig, name: str) -> np.random.Generator:
@@ -244,7 +249,8 @@ def _check_nongradient(cfg: RunConfig, P: np.ndarray):
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
     basis = [SolitonParams()] + [SolitonParams(**{f"c{k}": 1.0}) for k in range(1, 6)]
     try:
-        defect0, *ddefect = [soliton.closedness_defect(soliton.soliton_field(c), grid) for c in basis]
+        metric = metric_jets(grid)  # once for all six basis fields
+        defect0, *ddefect = [soliton._closedness_defect(metric, soliton.soliton_field(c), grid) for c in basis]
     except DomainError as exc:  # a grid point left the domain: fail there
         return len(P) + len(grid), claims + [_zero([math.nan], [grid[exc.index]])]
     ddefect = np.array(ddefect) - defect0  # [k, point, component]

@@ -167,9 +167,9 @@ class OneFormValue:
 COMPONENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _dual_one_form_jets(xi: AnalyticVectorField, p):
-    """Value w[..., b] and gradient dw[..., m, b] of the metric dual w_b = g_ba xi^a."""
-    g, dg, _ = metric_jets(p)
+def _dual_one_form_jets(metric, xi: AnalyticVectorField, p):
+    """Value w[..., b] and gradient dw[..., m, b] of the metric dual w_b = g_ba xi^a, given the metric jets at p."""
+    g, dg, _ = metric
     v, dv, _ = xi.coordinate_component_jets(p)
     w = np.einsum("...ba,...a->...b", g, v)
     return w, np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)
@@ -177,7 +177,13 @@ def _dual_one_form_jets(xi: AnalyticVectorField, p):
 
 def dual_one_form(xi: AnalyticVectorField, p) -> OneFormValue:
     """The metric dual g(xi, .) in coordinate components."""
-    return OneFormValue(_dual_one_form_jets(xi, p)[0])
+    return OneFormValue(_dual_one_form_jets(metric_jets(p), xi, p)[0])
+
+
+def _closedness_defect(metric, xi: AnalyticVectorField, p) -> np.ndarray:
+    _, dw = _dual_one_form_jets(metric, xi, p)
+    a, b = np.array(COMPONENT_PAIRS).T
+    return dw[..., a, b] - dw[..., b, a]
 
 
 def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
@@ -186,9 +192,7 @@ def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
     All six vanish on an open set iff xi is locally a gradient there;
     ordering follows :data:`COMPONENT_PAIRS`.
     """
-    _, dw = _dual_one_form_jets(xi, p)
-    a, b = np.array(COMPONENT_PAIRS).T
-    return dw[..., a, b] - dw[..., b, a]
+    return _closedness_defect(metric_jets(p), xi, p)
 
 
 def _scalar_laplacian(geo, grad, hess) -> np.ndarray:

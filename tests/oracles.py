@@ -33,11 +33,9 @@ def _shift(p, k, h):
 
 
 def fd_gradient(f, p, h: float = GRAD_STEP) -> np.ndarray:
+    """Central differences d_k f, k first: shape (4,) for a scalar f, (4, *shape) for an array-valued one."""
     p = list(p)
-    out = np.empty(4)
-    for k in range(4):
-        out[k] = (f(*_shift(p, k, h)) - f(*_shift(p, k, -h))) / (2.0 * h)
-    return out
+    return np.array([(f(*_shift(p, k, h)) - f(*_shift(p, k, -h))) / (2.0 * h) for k in range(4)])
 
 
 def fd_hessian_richardson(f, p, h: float = 2e-3) -> np.ndarray:
@@ -46,9 +44,10 @@ def fd_hessian_richardson(f, p, h: float = 2e-3) -> np.ndarray:
 
 
 def fd_hessian(f, p, h: float = HESS_STEP) -> np.ndarray:
+    """Central differences d_a d_b f, (a, b) first: shape (4, 4) for a scalar f, (4, 4, *shape) otherwise."""
     p = list(p)
-    out = np.empty((4, 4))
-    f0 = f(*p)
+    f0 = np.asarray(f(*p), dtype=float)
+    out = np.empty((4, 4) + f0.shape)
     for k in range(4):
         out[k, k] = (f(*_shift(p, k, h)) - 2.0 * f0 + f(*_shift(p, k, -h))) / (h * h)
     for a in range(4):
@@ -81,6 +80,30 @@ def inverse_metric_entries(x, y, s, t) -> np.ndarray:
             [s / t, 1.0 / t, 0.0, 0.0],
             [0.0, 0.0, 4 * t * t, 0.0],
             [0.0, 0.0, 0.0, 4 * t * t],
+        ]
+    )
+
+
+def frame_entries(x, y, s, t) -> np.ndarray:
+    r = math.sqrt(t)
+    return np.array(
+        [
+            [r, 0.0, 0.0, 0.0],
+            [s / r, 1.0 / r, 0.0, 0.0],
+            [0.0, 0.0, 2 * t, 0.0],
+            [0.0, 0.0, 0.0, 2 * t],
+        ]
+    )
+
+
+def coframe_entries(x, y, s, t) -> np.ndarray:
+    r = math.sqrt(t)
+    return np.array(
+        [
+            [1.0 / r, -s / r, 0.0, 0.0],
+            [0.0, r, 0.0, 0.0],
+            [0.0, 0.0, 1.0 / (2 * t), 0.0],
+            [0.0, 0.0, 0.0, 1.0 / (2 * t)],
         ]
     )
 

@@ -117,14 +117,10 @@ def test_criterion_05_non_gradient():
         p = rand_point(rng)
         worst = np.maximum(worst, abs(closedness_defect(xi3, p)[5] - 1.0 / (2.0 * p.t**3)))
 
-    grid = grid_points()
-    base = soliton_field(SolitonParams())
-    defect0 = np.array([closedness_defect(base, p) for p in grid])
+    grid = np.array([p.astuple() for p in grid_points()])  # one (625, 4) batch per basis field
+    defect0 = closedness_defect(soliton_field(SolitonParams()), grid)
     ddefect = np.array(
-        [
-            [closedness_defect(soliton_field(SolitonParams(**{f"c{k}": 1.0})), p) for p in grid]
-            for k in range(1, 6)
-        ]
+        [closedness_defect(soliton_field(SolitonParams(**{f"c{k}": 1.0})), grid) for k in range(1, 6)]
     ) - defect0[None, :, :]
     min_witness = np.inf
     for _ in range(20):

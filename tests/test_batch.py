@@ -8,7 +8,7 @@ the oracles and cross-checks elsewhere in the suite.
 import numpy as np
 import pytest
 
-from geoverify import chart, curvature, harmonic, soliton
+from geoverify import chart, checks, curvature, harmonic, soliton
 from geoverify.chart import FrameVector, constant_frame_field, coordinate_field
 from geoverify.checks import CHECK_NAMES, RunConfig, run_suite
 from geoverify.harmonic import CorollaryFamily, corollary_field
@@ -191,10 +191,13 @@ def test_frame_jets_of_matches_each_field_and_evaluates_the_coframe_once(batch, 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
-    builds, coframes = [], []
+    builds, coframes, metrics = [], [], []
     build, coframe_jets = curvature._build, chart.coframe_jets
     monkeypatch.setattr(curvature, "_build", lambda p: builds.append(np.shape(p)) or build(p))
     monkeypatch.setattr(chart, "coframe_jets", lambda p: coframes.append(np.shape(p)) or coframe_jets(p))
+    metric_jets = lambda p: metrics.append(np.shape(p)) or chart.metric_jets(p)
+    monkeypatch.setattr(soliton, "metric_jets", metric_jets)
+    monkeypatch.setattr(checks, "metric_jets", metric_jets, raising=False)
     before = curvature._geometry.cache_info()
     run_suite(name, RunConfig(points=50))
     after = curvature._geometry.cache_info()
@@ -203,3 +206,5 @@ def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
     assert [int(np.prod(shape[:-1])) for shape in builds] == ([] if name == "nongradient" else [50])
     # and at most one coframe, however many coordinate-basis fields the check converts
     assert [int(np.prod(shape[:-1])) for shape in coframes] in ([], [50])
+    # outside a geometry build, nongradient evaluates the metric once on its sampled rows and once on its grid
+    assert sorted(int(np.prod(shape[:-1])) for shape in metrics) == ([50, 625] if name == "nongradient" else [])

@@ -8,18 +8,30 @@ from geoverify.chart import (
     Point,
     as_point,
     constant_coordinate_field,
+    coframe_jets,
     coframe_matrix,
     coordinate_field,
     frame_at,
+    frame_jets,
     frame_matrix,
     inverse_metric_at,
+    inverse_metric_jets,
     metric_at,
+    metric_jets,
     to_coord,
     to_frame,
 )
 from geoverify.jets import DomainError
 
-from oracles import rand_point
+from oracles import (
+    coframe_entries,
+    fd_gradient,
+    fd_hessian_richardson,
+    frame_entries,
+    inverse_metric_entries,
+    metric_entries,
+    rand_point,
+)
 
 
 def test_metric_reference_values():
@@ -137,3 +149,25 @@ def test_frame_component_jets_carry_derivatives():
     assert val[2] == pytest.approx(p.t / 2.0, rel=1e-14)
     assert grad[3, 2] == pytest.approx(0.5, abs=1e-14)
     assert hess[3, 3, 2] == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "table, oracle",
+    [
+        (metric_jets, metric_entries),
+        (inverse_metric_jets, inverse_metric_entries),
+        (frame_jets, frame_entries),
+        (coframe_jets, coframe_entries),
+    ],
+)
+def test_tables_match_independent_closed_forms(table, oracle):
+    # the chart's jets of a whole batch against plain-float matrices differenced at each point
+    rng = np.random.default_rng(21)
+    P = np.array([rand_point(rng).astuple() for _ in range(50)])
+    val, grad, hess = table(P)
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+    for p, v, dv, d2v in zip(P, val, grad, hess):
+        np.testing.assert_allclose(v, oracle(*p), rtol=1e-14, atol=0)
+        fg, fh = fd_gradient(oracle, p), fd_hessian_richardson(oracle, p)
+        assert np.max(np.abs(dv - fg) / np.maximum(1.0, np.abs(fg))) < 1e-6
+        assert np.max(np.abs(d2v - fh) / np.maximum(1.0, np.abs(fh))) < 1e-7

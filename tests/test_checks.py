@@ -335,3 +335,16 @@ def test_peak_memory_is_bounded_by_the_chunk():
             tracemalloc.stop()
 
     assert peak(4 * checks._CHUNK) <= 1.5 * peak(checks._CHUNK)
+
+
+def test_claims_at_every_blocks_own_rows_share_the_checks_points(monkeypatch):
+    monkeypatch.setattr(checks, "_CHUNK", 7)
+    cfg = RunConfig(points=20)
+    P = _sample_points(cfg, "corollary")
+    _, claims = checks._check_corollary(cfg, P)
+    assert len(claims) == 8
+    assert all(c.points is P for c in claims)  # one points array, not a copy per claim
+    # a claim at only some of a block's rows is still joined in row order
+    _, claims = checks._check_harmonic_map_witnesses(cfg, P)
+    np.testing.assert_array_equal(claims[0].points, P[:10])
+    assert all(c.points is P for c in claims[1:])
