@@ -268,8 +268,8 @@ def _check_harmonic_components(cfg: RunConfig, P: np.ndarray):
 
     def block(Q, rows):
         _, grad, hess = soliton.soliton_field(SolitonParams(*c[rows].T)).component_jets(Q)
-        geo = geometry_at(Q)
-        laplacians = [soliton._scalar_laplacian(geo, grad[..., k], hess[..., k]) for k in range(4)]
+        # one scalar Laplacian per component, component axis first
+        laplacians = soliton._scalar_laplacian(geometry_at(Q), np.moveaxis(grad, -1, 0), np.moveaxis(hess, -1, 0))
         return [_zero(np.max(np.abs(laplacians), axis=0), Q)]
 
     return len(P), _chunked(P, block)

@@ -1,12 +1,14 @@
-"""Connection and curvature of the chart metric.
+"""Connection and curvature of the chart metric, computed in the orthonormal frame.
 
-Everything here is computed from the coordinate metric and its jet
-derivatives: Christoffel symbols from first derivatives of g, the
-curvature tensor from second derivatives, then contracted against the
-orthonormal frame.  The frame connection and curvature tables of the
-model space are therefore outputs of a generic pipeline, not inputs,
-which is what makes comparing them against the published integer tables
-a meaningful check.
+Everything here comes from the frame and coframe jets alone.  The frame's
+Lie brackets give the structure functions c_ijk = th_k([e_i, e_j]);
+Koszul's formula for an orthonormal frame gives the connection
+fc_ijk = g(nabla_{e_i} e_j, e_k) = (c_ijk - c_ikj - c_jki) / 2; and
+Cartan's structure equation gives the curvature from the connection.  The
+frame connection and curvature tables of the model space are therefore
+outputs of a generic pipeline fed only by the frame's closed form, not
+inputs, which is what makes comparing them against the published integer
+tables a meaningful check.
 
 Sign conventions:
 
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chart import FrameVector, _per_point, as_point, frame_jets, inverse_metric_jets, metric_jets
+from .chart import FrameVector, _per_point, as_point, coframe_jets, frame_jets, inverse_metric_jets, metric_jets
 
 __all__ = [
     "christoffel_at",
@@ -38,74 +40,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Geometry:
-    """Pointwise arrays for one chart point or a batch (all indices 0-based).
+    """Pointwise frame arrays for one chart point or a batch (all indices 0-based).
 
     Batch axes come first, then derivative indices, then the entry:
 
-        g[..., a,b]            metric             dg[..., m,a,b] = d_m g_ab
         E[..., i,a]            frame e_{i+1} components against d/dx_a
                                                   dE[..., m,i,a] = d_m E[i,a]
-        Gamma[..., c,a,b]      Christoffel Gamma^c_ab
         fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k)
         dfc[..., m,i,j,k]      d_m fc[i,j,k]
         Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l)
     """
 
-    g: np.ndarray
-    dg: np.ndarray
     E: np.ndarray
     dE: np.ndarray
-    Gamma: np.ndarray
     fc: np.ndarray
     dfc: np.ndarray
     Rfr: np.ndarray
 
 
-def _christoffel(p):
-    """Metric jets g, dg and Gamma^c_ab = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab) with dGamma[m] = d_m Gamma."""
-    g, dg, d2g = metric_jets(p)
-    ginv, dginv, _ = inverse_metric_jets(p)
-    S = dg + np.swapaxes(dg, -3, -2) - np.swapaxes(dg, -3, -1)  # S[a,b,d]
-    dS = d2g + np.swapaxes(d2g, -3, -2) - np.swapaxes(d2g, -3, -1)  # dS[m,a,b,d]
-    Gamma = 0.5 * np.einsum("...cd,...abd->...cab", ginv, S)
-    dGamma = 0.5 * (np.einsum("...mcd,...abd->...mcab", dginv, S) + np.einsum("...cd,...mabd->...mcab", ginv, dS))
-    return g, dg, Gamma, dGamma
-
-
-def _frame_connection(p, g, dg, Gamma, dGamma):
-    """Frame jets E, dE and fc[i,j,k] = g(nabla_{e_i} e_j, e_k) = E_ia M_ajc g_cd E_kd, dfc[m,i,j,k] = d_m fc."""
+def _brackets(p):
+    """Frame jets E, dE and the structure functions c[i,j,k] = th_k([e_i, e_j]) with dc[m,i,j,k] = d_m c."""
     E, dE, d2E = frame_jets(p)
-    M = dE + np.einsum("...jb,...cab->...ajc", E, Gamma)  # M[a,j,c] = (nabla_{d_a} e_j)^c
-    dM = d2E + np.einsum("...mjb,...cab->...majc", dE, Gamma)
-    dM += np.einsum("...jb,...mcab->...majc", E, dGamma)
-    gE = np.einsum("...cd,...kd->...ck", g, E)
-    EM = np.einsum("...ia,...ajc->...ijc", E, M)
-    d_gE = np.einsum("...mcd,...kd->...mck", dg, E) + np.einsum("...cd,...mkd->...mck", g, dE)
-    dfc = np.einsum("...mia,...ajk->...mijk", dE, np.einsum("...ajc,...ck->...ajk", M, gE))
-    dfc += np.einsum("...ia,...majk->...mijk", E, np.einsum("...majc,...ck->...majk", dM, gE))
-    dfc += np.einsum("...ijc,...mck->...mijk", EM, d_gE)
-    return E, dE, np.einsum("...ijc,...ck->...ijk", EM, gE), dfc
+    T, dT, _ = coframe_jets(p)
+    D = np.einsum("...ia,...ajb->...ijb", E, dE)  # D[i,j,b] = e_i(E_jb)
+    dD = np.einsum("...mia,...ajb->...mijb", dE, dE) + np.einsum("...ia,...majb->...mijb", E, d2E)
+    B, dB = D - np.swapaxes(D, -3, -2), dD - np.swapaxes(dD, -3, -2)  # [e_i, e_j]^b and d_m of it
+    dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT)
+    return E, dE, np.einsum("...ijb,...kb->...ijk", B, T), dc
 
 
-def _frame_curvature(g, E, Gamma, dGamma):
-    """Rfr[i,j,k,l] = g(R(e_i,e_j)e_k, e_l)."""
-    # Riem[a,l,b,c]: R(d_a, d_b) d_c = Riem[a,:,b,c] . (d_l basis); dGamma[a,l,b,c] = d_a Gamma^l_bc
-    Riem = dGamma - np.swapaxes(dGamma, -4, -2)
-    Riem += np.einsum("...lam,...mbc->...albc", Gamma, Gamma)
-    Riem -= np.einsum("...lbm,...mac->...albc", Gamma, Gamma)
-    Rdown = np.einsum("...albc,...ld->...abcd", Riem, g)  # g(R(d_a, d_b) d_c, d_d)
-    # E_ia E_jb E_kc E_ld Rdown_abcd, one frame index at a time
-    Rfr = np.einsum("...abcd,...ld->...abcl", Rdown, E)
-    Rfr = np.einsum("...abcl,...kc->...abkl", Rfr, E)
-    Rfr = np.einsum("...abkl,...jb->...ajkl", Rfr, E)
-    return np.einsum("...ajkl,...ia->...ijkl", Rfr, E)
+def _koszul(c):
+    """fc[..., i,j,k] = (c_ijk - c_ikj - c_jki) / 2, for c or any derivative of it."""
+    return 0.5 * (c - np.einsum("...ikj->...ijk", c) - np.einsum("...jki->...ijk", c))
 
 
 def _build(p) -> Geometry:
-    # each stage loads the jets only it needs, so second derivatives are freed early
-    g, dg, Gamma, dGamma = _christoffel(p)
-    E, dE, fc, dfc = _frame_connection(p, g, dg, Gamma, dGamma)
-    return Geometry(g, dg, E, dE, Gamma, fc, dfc, _frame_curvature(g, E, Gamma, dGamma))
+    E, dE, c, dc = _brackets(p)  # a stage of its own, so the second derivatives are freed before the curvature
+    fc, dfc = _koszul(c), _koszul(dc)
+    # Cartan: Rfr_ijkl = e_i(fc_jkl) - e_j(fc_ikl) + fc_jkm fc_iml - fc_ikm fc_jml - c_ijm fc_mkl, where
+    # A[i,j,k,l] = e_i(fc_jkl) + fc_jkm fc_iml = g(nabla_{e_i} nabla_{e_j} e_k, e_l) and [e_i, e_j] = c_ijm e_m
+    A = np.einsum("...ia,...ajkl->...ijkl", E, dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
+    return Geometry(E, dE, fc, dfc, A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", c, fc))
 
 
 # single points only: a replay asks for one point's geometry several times; a check's batch is built once
@@ -123,17 +98,28 @@ def _ricci(Rfr: np.ndarray) -> np.ndarray:
     return np.einsum("...iaaj->...ij", Rfr)
 
 
+def _nabla(geo: Geometry, val, grad) -> np.ndarray:
+    """A[..., i, j] = g(nabla_{e_i} X, e_j) from the frame-component jets val[..., k], grad[..., a, k] of X."""
+    return geo.E @ grad + np.einsum("...k,...ikj->...ij", val, geo.fc)
+
+
+def _christoffel(p):
+    """Metric jets g, dg and Gamma^c_ab = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab); no check reads them."""
+    g, dg, _ = metric_jets(p)
+    S = dg + np.swapaxes(dg, -3, -2) - np.swapaxes(dg, -3, -1)  # S[a,b,d]
+    return g, dg, 0.5 * np.einsum("...cd,...abd->...cab", inverse_metric_jets(p)[0], S)
+
+
 def christoffel_at(p) -> np.ndarray:
     """Coordinate Christoffel symbols, indexed [..., k, i, j] = Gamma^k_ij."""
-    return geometry_at(p).Gamma.copy()
+    return _christoffel(p)[2]
 
 
 def metric_compatibility_defect(p) -> float:
-    """Max component of nabla g at p; vanishes for the Levi-Civita connection."""
-    geo = geometry_at(p)
-    G, g = geo.Gamma, geo.g
-    nabla_g = geo.dg - np.einsum("...dab,...dc->...abc", G, g) - np.einsum("...dac,...bd->...abc", G, g)
-    return float(np.max(np.abs(nabla_g)))
+    """Max component of nabla g at p, per point; vanishes for the Levi-Civita connection."""
+    g, dg, G = _christoffel(p)
+    nabla_g = dg - np.einsum("...dab,...dc->...abc", G, g) - np.einsum("...dac,...bd->...abc", G, g)
+    return _per_point(np.max(np.abs(nabla_g), axis=(-3, -2, -1)))
 
 
 def frame_connection(p) -> np.ndarray:

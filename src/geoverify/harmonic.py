@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import AnalyticVectorField, _as_points, _per_point, coordinate_field
-from .curvature import geometry_at
+from .curvature import _nabla, geometry_at
+from .soliton import _scalar_laplacian
 
 __all__ = [
     "NotSTOnly",
@@ -120,25 +121,17 @@ def _require_st_only(grad: np.ndarray):
 
 
 def _rough_laplacian(geo, val, grad, hess) -> np.ndarray:
-    E, dE, fc, dfc = geo.E, geo.dE, geo.fc, geo.dfc
-
-    eX = E @ grad  # eX[i, k] = e_i(X_k)
-    eeX = np.einsum("...ib,...bk->...ik", np.einsum("...ia,...aib->...ib", E, dE), grad)
-    eeX = eeX + np.einsum("...ib,...ibk->...ik", E, np.einsum("...ia,...abk->...ibk", E, hess))
-    edfc = np.einsum("...im,...mikj->...ikj", E, dfc)  # e_i(fc[i,k,j])
-    vfc = np.einsum("...k,...ikj->...ij", val, fc)  # (nabla_{e_i} e_k) X_k, frame comps j
-
-    second = eeX.sum(axis=-2)
-    mixed = 2.0 * np.einsum("...ik,...ikj->...j", eX, fc)
-    conn_deriv = np.einsum("...k,...ikj->...j", val, edfc)
-    conn_conn = np.einsum("...im,...imj->...j", vfc, fc)
-    trace_dirs = np.einsum("...iim->...m", fc)
-    drift = np.einsum("...m,...mj->...j", trace_dirs, eX + vfc)
-    return second + mixed + conn_deriv + conn_conn - drift
+    fc, eX, A = geo.fc, geo.E @ grad, _nabla(geo, val, grad)  # eX[i,k] = e_i(X_k), A[i,k] = (nabla_{e_i} X)_k
+    # each component's scalar Laplacian, component axis first so that it broadcasts against the geometry
+    lap = np.moveaxis(_scalar_laplacian(geo, np.moveaxis(grad, -1, 0), np.moveaxis(hess, -1, 0)), 0, -1)
+    edfc = np.einsum("...im,...mikj->...kj", geo.E, geo.dfc)  # sum_i e_i(fc_ikj)
+    # plus sum_i [e_i(X_k) + A_ik] fc_ikj + X_k e_i(fc_ikj), less the drift's (nabla_{e_i} e_i)^m X_k fc_mkj
+    conn = np.einsum("...ik,...ikj->...j", eX + A, fc) + np.einsum("...k,...kj->...j", val, edfc)
+    return lap + conn - np.einsum("...iim,...mj->...j", fc, A - eX)
 
 
 def _horizontal_tension(geo, val, grad, _hess) -> np.ndarray:
-    A = geo.E @ grad + np.einsum("...m,...imb->...ib", val, geo.fc)  # A[i,b] = (nabla_{e_i} X)_b
+    A = _nabla(geo, val, grad)
     return np.einsum("...ib,...bik->...k", A, np.einsum("...a,...abik->...bik", val, geo.Rfr))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import AnalyticVectorField, _jets, _per_point, coordinate_field, frame_field, metric_jets
-from .curvature import _ricci, geometry_at
+from .curvature import _nabla, _ricci, geometry_at
 from .jets import sqrt
 
 __all__ = [
@@ -105,14 +105,10 @@ def soliton_frame_components(params: SolitonParams) -> AnalyticVectorField:
     return frame_field(a1, a2, a3, a4)
 
 
-def _beta(geo, xi: AnalyticVectorField, p) -> np.ndarray:
-    val, grad, _ = xi.frame_component_jets(p)
-    return geo.E @ grad + np.einsum("...k,...ikj->...ij", val, geo.fc)
-
-
 def beta_matrix(xi: AnalyticVectorField, p) -> np.ndarray:
     """beta[..., i, j] = g(nabla_{e_i} xi, e_j) at p."""
-    return _beta(geometry_at(p), xi, p)
+    val, grad, _ = xi.frame_component_jets(p)
+    return _nabla(geometry_at(p), val, grad)
 
 
 def lie_derivative_metric(xi: AnalyticVectorField, p) -> np.ndarray:
@@ -123,8 +119,8 @@ def lie_derivative_metric(xi: AnalyticVectorField, p) -> np.ndarray:
 
 def soliton_residual(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     """Ric + (1/2) L_xi g - lam g in the frame; zero iff (xi, lam) is a soliton at p."""
-    geo = geometry_at(p)
-    beta = _beta(geo, xi, p)
+    geo, (val, grad, _) = geometry_at(p), xi.frame_component_jets(p)
+    beta = _nabla(geo, val, grad)
     return _ricci(geo.Rfr) + 0.5 * (beta + np.swapaxes(beta, -1, -2)) - lam * np.eye(4)
 
 

@@ -49,9 +49,11 @@ def xy_field():
 def test_geometry_batch_matches_single_points(batch):
     pts, P, rng = batch
     geo = curvature.geometry_at(P)
-    for name in ("g", "dg", "E", "dE", "Gamma", "fc", "dfc", "Rfr"):
+    for name in ("E", "dE", "fc", "dfc", "Rfr"):
         assert_batch_matches(getattr(geo, name), [getattr(curvature.geometry_at(p), name) for p in pts])
     for fn in (
+        curvature.christoffel_at,
+        curvature.metric_compatibility_defect,
         curvature.frame_connection,
         curvature.ricci_frame,
         curvature.riemann_frame_table,
@@ -191,9 +193,11 @@ def test_frame_jets_of_matches_each_field_and_evaluates_the_coframe_once(batch, 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
-    builds, coframes, metrics = [], [], []
+    builds, coframes, metrics, build_jets = [], [], [], []
     build, coframe_jets = curvature._build, chart.coframe_jets
     monkeypatch.setattr(curvature, "_build", lambda p: builds.append(np.shape(p)) or build(p))
+    for fn in ("metric_jets", "inverse_metric_jets", "frame_jets", "coframe_jets"):
+        monkeypatch.setattr(curvature, fn, lambda p, fn=fn, f=getattr(chart, fn): build_jets.append(fn) or f(p))
     monkeypatch.setattr(chart, "coframe_jets", lambda p: coframes.append(np.shape(p)) or coframe_jets(p))
     metric_jets = lambda p: metrics.append(np.shape(p)) or chart.metric_jets(p)
     monkeypatch.setattr(soliton, "metric_jets", metric_jets)
@@ -208,3 +212,5 @@ def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
     assert [int(np.prod(shape[:-1])) for shape in coframes] in ([], [50])
     # outside a geometry build, nongradient evaluates the metric once on its sampled rows and once on its grid
     assert sorted(int(np.prod(shape[:-1])) for shape in metrics) == ([50, 625] if name == "nongradient" else [])
+    # the build works in the frame: one frame and one coframe evaluation, no metric or inverse-metric jets
+    assert sorted(build_jets) == sorted(["coframe_jets", "frame_jets"] * len(builds))

@@ -157,17 +157,17 @@ def test_cli_exit_codes(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_residual_fails_at_first_offending_point(capsys):
-    # t ~ 1e200 overflows the metric jets to NaN at every sampled point
-    box = "-2,2,-2,2,-2,2,1e200,1e201"
+    # t ~ 1e308 overflows the frame entry 2t to inf at every sampled point
+    box = "-2,2,-2,2,-2,2,1e308,1.7e308"
     assert main(["lemma2", f"--box={box}", "--points", "5"]) == 1
     d = json.loads(capsys.readouterr().out)
     assert d["pass"] is False
     assert not np.isfinite(d["max_residual"])
     cfg = RunConfig(points=5, box=Box(*map(float, box.split(","))))
     assert d["witness_point"] == list(_sample_points(cfg, "lemma2")[0])
-    # an overflow inside any check (e.g. a power of t) fails that check, not the run; so does a
-    # domain error (t*t underflows to 0 in the metric entry 1/(4t^2)), whose residual is NaN
-    for box in (box, "-2,2,-2,2,-2,2,1e-200,1e-199"):
+    # an overflow inside any check fails that check, not the run: near 1.7e308 the frame entries, near
+    # 1e-320 the coframe's 1/sqrt(t) and the frame's derivatives; the residual is NaN from its first point
+    for box in (box, "-2,2,-2,2,-2,2,1e-320,1e-319"):
         cfg = RunConfig(points=3, box=Box(*map(float, box.split(","))))
         assert main(["all", f"--box={box}", "--points", "3"]) == 1
         out = capsys.readouterr()

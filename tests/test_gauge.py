@@ -1,0 +1,91 @@
+"""A gauge-rotated frame control.
+
+In the chart's left-invariant frame the connection coefficients are
+constant, so ``dfc`` vanishes and no term that multiplies it (the
+e_i(fc) term of Cartan's structure equation, the connection-derivative
+term of the rough Laplacian) is ever exercised by the F4 checks.  Here the
+frame and coframe closed forms are replaced by R(p) times their tables,
+where R(p) rotates the (e1, e2) and (e3, e4) planes by point-dependent
+angles.  The metric is the same, ``fc`` varies, and every frame tensor
+must transform by R while scalars and vanishing residuals stay as they
+are.
+
+Only batches are evaluated, so the single-point geometry cache never
+holds rotated geometry.
+"""
+
+import numpy as np
+import pytest
+
+from geoverify import chart, curvature, harmonic, soliton
+from geoverify.harmonic import CorollaryFamily, corollary_field
+from geoverify.jets import reciprocal
+from geoverify.soliton import SolitonParams
+from geoverify.tables import RICCI_FRAME, SCALAR_CURVATURE, full_curvature_tensor
+
+N = 200
+TOL = 1e-11
+
+
+def _cayley(u):
+    """Cosine and sine of the angle 2 arctan(u), from + - * and reciprocal only."""
+    w = reciprocal(1.0 + u * u)
+    return (1.0 - u * u) * w, 2.0 * u * w
+
+
+def _rotation(x, y, s, t):
+    a, b = _cayley(s * t / 3.0)
+    c, d = _cayley(x * 0.5)
+    return (a, -b, 0.0, 0.0), (b, a, 0.0, 0.0), (0.0, 0.0, c, -d), (0.0, 0.0, d, c)
+
+
+def _rotated(table):
+    """The closed form R(p) @ table(p): rows are the rotated frame (or coframe) elements."""
+
+    def rotated(x, y, s, t):
+        R, M = _rotation(x, y, s, t), table(x, y, s, t)
+        return tuple(tuple(sum(R[i][k] * M[k][a] for k in range(4)) for a in range(4)) for i in range(4))
+
+    return rotated
+
+
+@pytest.fixture
+def rotated(monkeypatch):
+    """Sampled points P and R(P), with the chart's frame and coframe rotated by R."""
+    P = np.random.default_rng(801).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (N, 4))
+    R = chart._jets(_rotation, P)[0]
+    monkeypatch.setattr(chart, "_frame", _rotated(chart._frame))
+    monkeypatch.setattr(chart, "_coframe", _rotated(chart._coframe))
+    return P, R
+
+
+def test_rotated_frame_is_orthonormal_with_varying_connection(rotated):
+    P, R = rotated
+    E, T = chart.frame_jets(P)[0], chart.coframe_jets(P)[0]
+    assert np.max(np.abs(T @ np.swapaxes(E, -1, -2) - np.eye(4))) < TOL
+    assert np.max(np.abs(np.swapaxes(E, -1, -2) @ E - chart.inverse_metric_jets(P)[0])) < TOL
+    assert np.max(np.abs(curvature.geometry_at(P).dfc)) > 1.0
+
+
+def test_curvature_transforms_as_a_tensor(rotated):
+    P, R = rotated
+    expected = np.einsum("...ia,...jb,...kc,...ld,abcd->...ijkl", R, R, R, R, full_curvature_tensor())
+    assert np.max(np.abs(curvature.riemann_frame_table(P) - expected)) < TOL
+    expected = np.einsum("...ia,ab,...jb->...ij", R, RICCI_FRAME, R)
+    assert np.max(np.abs(curvature.ricci_frame(P) - expected)) < TOL
+    assert np.max(np.abs(curvature.scalar_curvature(P) - SCALAR_CURVATURE)) < TOL
+
+
+def test_soliton_residual_still_vanishes(rotated):
+    P, _ = rotated
+    c = np.random.default_rng(802).uniform(-3.0, 3.0, (N, 5))  # one family member per point
+    xi = soliton.soliton_field(SolitonParams(*c.T))
+    assert np.max(np.abs(soliton.soliton_residual(xi, soliton.SOLITON_LAMBDA, P))) < TOL
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+def test_rough_laplacian_still_vanishes(rotated, index):
+    P, _ = rotated
+    c = np.random.default_rng(803).uniform(-3.0, 3.0, (N, 2))
+    X = corollary_field(CorollaryFamily(index, *c.T))
+    assert np.max(np.abs(harmonic.rough_laplacian(X, P))) < TOL
