@@ -264,9 +264,9 @@ class AnalyticVectorField:
         """Jets ``(val[..., k], grad[..., a, k], hess[..., a, b, k])`` of the components in the field's own basis."""
         return _jets(lambda *q: tuple(f(*q) for f in self.components), p)
 
-    def frame_component_jets(self, p) -> _JetArrays:
-        """Jets of the frame components at p (converting if needed): th_j(X)."""
-        return next(frame_jets_of([self], p))
+    def frame_component_jets(self, p, coframe: _JetArrays | None = None) -> _JetArrays:
+        """Jets of the frame components at p (converting if needed, with the coframe jets at p if given): th_j(X)."""
+        return next(frame_jets_of([self], p, coframe))
 
     def coordinate_component_jets(self, p) -> _JetArrays:
         """Jets of the coordinate components at p (converting if needed): sum_j X_j e_j."""
@@ -282,9 +282,9 @@ class AnalyticVectorField:
         return self.coordinate_component_jets(p)[0]
 
 
-def frame_jets_of(fields: Iterable[AnalyticVectorField], p) -> Iterator[_JetArrays]:
-    """Jets of each field's frame components at p in turn, evaluating the coframe at most once for all of them."""
-    coframe = None
+def frame_jets_of(fields: Iterable[AnalyticVectorField], p, coframe: _JetArrays | None = None) -> Iterator[_JetArrays]:
+    """Jets of each field's frame components at p in turn, converting them all with one coframe: the coframe jets
+    at p if given (a geometry carries them), else one evaluation made when the first coordinate field needs it."""
     for X in fields:
         own = X.component_jets(p)
         if X.basis == "coordinate":

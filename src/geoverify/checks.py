@@ -314,8 +314,8 @@ def _check_corollary(cfg: RunConfig, P: np.ndarray):
     def block(Q, rows):
         families = [corollary_field(CorollaryFamily(k, *c[k - 1][rows].T)) for k in (1, 2, 3, 4)]
         geo = geometry_at(Q)
-        # families 1..4, then shifted
-        res = [_worst(harmonic._rough_laplacian(geo, *jets), 1) for jets in frame_jets_of(families + shifted, Q)]
+        jets = frame_jets_of(families + shifted, Q, geo.coframe)  # families 1..4, then shifted
+        res = [_worst(harmonic._rough_laplacian(geo, *field), 1) for field in jets]
         return [_zero(r, Q) for r in res[:4]] + [_exceeds(r, Q) for r in res[4:]]
 
     return 8 * len(P), _chunked(P, block)
@@ -335,7 +335,7 @@ def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
         if len(head):
             zero_jets = constant_frame_field([0.0, 0.0, 0.0, 0.0]).frame_component_jets(Q)
             zero_res = harmonic._tension(geo, *zero_jets).max_component()[: len(head)]
-        mags = [harmonic._tension(geo, *jets).max_component() for jets in frame_jets_of(witnesses, Q)]
+        mags = [harmonic._tension(geo, *jets).max_component() for jets in frame_jets_of(witnesses, Q, geo.coframe)]
 
         # expanded quadratic identity for the last tension component
         k = comp[rows]

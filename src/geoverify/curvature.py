@@ -45,28 +45,39 @@ class Geometry:
     Batch axes come first, then derivative indices, then the entry:
 
         E[..., i,a]            frame e_{i+1} components against d/dx_a
-                                                  dE[..., m,i,a] = d_m E[i,a]
+        coframe                jets (T, dT, d2T) of the coframe rows th_{k+1}, for converting coordinate fields
         fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k)
         dfc[..., m,i,j,k]      d_m fc[i,j,k]
         Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l)
+
+    and the Laplacians' coefficients: Lap f = G_ab d_a d_b f + v_b d_b f, (Lap X)_j = Lap X_j + C_akj d_a X_k + M_kj X_k
+    on the jets of a scalar f and of a field's frame components X_k,
+        G[..., a,b]            sum_i E_ia E_ib, the inverse metric
+        v[..., b]              sum_i e_i(E_ib) - tau_m E_mb, where sum_i nabla_{e_i} e_i = tau_m e_m = sum_i fc_iim e_m
+        C[..., a,k,j]          2 sum_i E_ia fc_ikj
+        M[..., k,j]            (Lap e_k)_j = sum_i [e_i(fc_ikj) + fc_ikm fc_imj] - tau_m fc_mkj
     """
 
     E: np.ndarray
-    dE: np.ndarray
+    coframe: tuple[np.ndarray, np.ndarray, np.ndarray]
     fc: np.ndarray
     dfc: np.ndarray
     Rfr: np.ndarray
+    G: np.ndarray
+    v: np.ndarray
+    C: np.ndarray
+    M: np.ndarray
 
 
 def _brackets(p):
-    """Frame jets E, dE and the structure functions c[i,j,k] = th_k([e_i, e_j]) with dc[m,i,j,k] = d_m c."""
+    """E, eE[b] = sum_i e_i(E_ib), the coframe jets, and c[i,j,k] = th_k([e_i, e_j]) with dc[m,i,j,k] = d_m c."""
     E, dE, d2E = frame_jets(p)
-    T, dT, _ = coframe_jets(p)
+    coframe = T, dT, _ = coframe_jets(p)
     D = np.einsum("...ia,...ajb->...ijb", E, dE)  # D[i,j,b] = e_i(E_jb)
     dD = np.einsum("...mia,...ajb->...mijb", dE, dE) + np.einsum("...ia,...majb->...mijb", E, d2E)
     B, dB = D - np.swapaxes(D, -3, -2), dD - np.swapaxes(dD, -3, -2)  # [e_i, e_j]^b and d_m of it
     dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT)
-    return E, dE, np.einsum("...ijb,...kb->...ijk", B, T), dc
+    return E, np.einsum("...iib->...b", D), coframe, np.einsum("...ijb,...kb->...ijk", B, T), dc
 
 
 def _koszul(c):
@@ -75,12 +86,16 @@ def _koszul(c):
 
 
 def _build(p) -> Geometry:
-    E, dE, c, dc = _brackets(p)  # a stage of its own, so the second derivatives are freed before the curvature
+    E, eE, coframe, c, dc = _brackets(p)  # a stage of its own, so the second derivatives are freed before the curvature
     fc, dfc = _koszul(c), _koszul(dc)
     # Cartan: Rfr_ijkl = e_i(fc_jkl) - e_j(fc_ikl) + fc_jkm fc_iml - fc_ikm fc_jml - c_ijm fc_mkl, where
     # A[i,j,k,l] = e_i(fc_jkl) + fc_jkm fc_iml = g(nabla_{e_i} nabla_{e_j} e_k, e_l) and [e_i, e_j] = c_ijm e_m
     A = np.einsum("...ia,...ajkl->...ijkl", E, dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
-    return Geometry(E, dE, fc, dfc, A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", c, fc))
+    Rfr = A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", c, fc)
+    tau = np.einsum("...iim->...m", fc)
+    v, C = eE - np.einsum("...m,...mb->...b", tau, E), 2 * np.einsum("...ia,...ikj->...akj", E, fc)
+    M = np.einsum("...iikj->...kj", A) - np.einsum("...m,...mkj->...kj", tau, fc)
+    return Geometry(E, coframe, fc, dfc, Rfr, np.swapaxes(E, -1, -2) @ E, v, C, M)
 
 
 # single points only: a replay asks for one point's geometry several times; a check's batch is built once
@@ -115,7 +130,7 @@ def christoffel_at(p) -> np.ndarray:
     return _christoffel(p)[2]
 
 
-def metric_compatibility_defect(p) -> float:
+def metric_compatibility_defect(p) -> float | np.ndarray:
     """Max component of nabla g at p, per point; vanishes for the Levi-Civita connection."""
     g, dg, G = _christoffel(p)
     nabla_g = dg - np.einsum("...dab,...dc->...abc", G, g) - np.einsum("...dac,...bd->...abc", G, g)
@@ -132,7 +147,7 @@ def riemann_frame_table(p) -> np.ndarray:
     return geometry_at(p).Rfr.copy()
 
 
-def riemann_frame(p, i: int, j: int, k: int, l: int) -> float:
+def riemann_frame(p, i: int, j: int, k: int, l: int) -> float | np.ndarray:
     """g(R(e_i, e_j) e_k, e_l) with 1-based frame indices (matching the table labels)."""
     for idx in (i, j, k, l):
         if not 1 <= idx <= 4:
@@ -145,11 +160,11 @@ def ricci_frame(p) -> np.ndarray:
     return _ricci(geometry_at(p).Rfr)
 
 
-def scalar_curvature(p) -> float:
+def scalar_curvature(p) -> float | np.ndarray:
     return _per_point(np.trace(ricci_frame(p), axis1=-2, axis2=-1))
 
 
-def coercivity_check(p, v: FrameVector, lam: float) -> float:
+def coercivity_check(p, v: FrameVector, lam: float) -> float | np.ndarray:
     """Ric(v, v) - lam * g(v, v) for a frame vector v (components [..., i]) at p."""
     c = v.comp
     return _per_point(np.einsum("...i,...ij,...j->...", c, ricci_frame(p), c) - lam * np.einsum("...i,...i->...", c, c))

@@ -9,9 +9,11 @@ when additionally the horizontal curvature trace
 
     sum_i R(X, nabla_{e_i} X) e_i
 
-vanishes.  Both residuals are computed intrinsically from the connection
-and curvature produced by :mod:`geoverify.curvature` plus jet
-derivatives of the field's frame components.  The component-system and
+vanishes.  Both residuals are computed intrinsically from the geometry
+built by :mod:`geoverify.curvature` and the jets of the field's frame
+components X_k; the rough Laplacian is each component's scalar Laplacian
+plus C_akj d_a X_k + M_kj X_k, from the geometry's operator coefficients.
+The component-system and
 expanded quadratic forms (:func:`harmonic_section_equations`,
 :func:`horizontal_tension_expanded`) re-derive the same quantities from
 plain s/t partial derivatives and exist purely as independent
@@ -70,7 +72,7 @@ class TensionValue:
     horizontal: np.ndarray
     vertical: np.ndarray
 
-    def max_component(self) -> float:
+    def max_component(self) -> float | np.ndarray:
         """Largest |component| of either part, per point."""
         return _per_point(np.maximum(np.max(np.abs(self.horizontal), axis=-1), np.max(np.abs(self.vertical), axis=-1)))
 
@@ -111,7 +113,8 @@ def corollary_field(fam: CorollaryFamily) -> AnalyticVectorField:
 
 def _field_data(X: AnalyticVectorField, p):
     """The geometry at p and the frame component jets of X: val[..., k], grad[..., a, k], hess[..., a, b, k]."""
-    return (geometry_at(p), *X.frame_component_jets(p))
+    geo = geometry_at(p)
+    return (geo, *X.frame_component_jets(p, geo.coframe))
 
 
 def _require_st_only(grad: np.ndarray):
@@ -121,13 +124,9 @@ def _require_st_only(grad: np.ndarray):
 
 
 def _rough_laplacian(geo, val, grad, hess) -> np.ndarray:
-    fc, eX, A = geo.fc, geo.E @ grad, _nabla(geo, val, grad)  # eX[i,k] = e_i(X_k), A[i,k] = (nabla_{e_i} X)_k
     # each component's scalar Laplacian, component axis first so that it broadcasts against the geometry
     lap = np.moveaxis(_scalar_laplacian(geo, np.moveaxis(grad, -1, 0), np.moveaxis(hess, -1, 0)), 0, -1)
-    edfc = np.einsum("...im,...mikj->...kj", geo.E, geo.dfc)  # sum_i e_i(fc_ikj)
-    # plus sum_i [e_i(X_k) + A_ik] fc_ikj + X_k e_i(fc_ikj), less the drift's (nabla_{e_i} e_i)^m X_k fc_mkj
-    conn = np.einsum("...ik,...ikj->...j", eX + A, fc) + np.einsum("...k,...kj->...j", val, edfc)
-    return lap + conn - np.einsum("...iim,...mj->...j", fc, A - eX)
+    return lap + np.einsum("...akj,...ak->...j", geo.C, grad) + np.einsum("...k,...kj->...j", val, geo.M)
 
 
 def _horizontal_tension(geo, val, grad, _hess) -> np.ndarray:

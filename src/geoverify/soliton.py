@@ -107,8 +107,8 @@ def soliton_frame_components(params: SolitonParams) -> AnalyticVectorField:
 
 def beta_matrix(xi: AnalyticVectorField, p) -> np.ndarray:
     """beta[..., i, j] = g(nabla_{e_i} xi, e_j) at p."""
-    val, grad, _ = xi.frame_component_jets(p)
-    return _nabla(geometry_at(p), val, grad)
+    geo = geometry_at(p)
+    return _nabla(geo, *xi.frame_component_jets(p, geo.coframe)[:2])
 
 
 def lie_derivative_metric(xi: AnalyticVectorField, p) -> np.ndarray:
@@ -119,8 +119,8 @@ def lie_derivative_metric(xi: AnalyticVectorField, p) -> np.ndarray:
 
 def soliton_residual(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     """Ric + (1/2) L_xi g - lam g in the frame; zero iff (xi, lam) is a soliton at p."""
-    geo, (val, grad, _) = geometry_at(p), xi.frame_component_jets(p)
-    beta = _nabla(geo, val, grad)
+    geo = geometry_at(p)
+    beta = _nabla(geo, *xi.frame_component_jets(p, geo.coframe)[:2])
     return _ricci(geo.Rfr) + 0.5 * (beta + np.swapaxes(beta, -1, -2)) - lam * np.eye(4)
 
 
@@ -192,15 +192,11 @@ def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
 
 
 def _scalar_laplacian(geo, grad, hess) -> np.ndarray:
-    E = geo.E
-    second = np.einsum("...ib,...b->...", np.einsum("...ia,...aib->...ib", E, geo.dE), grad)
-    second = second + np.einsum("...ib,...ib->...", E, np.einsum("...ia,...ab->...ib", E, hess))
-    trace_dirs = np.einsum("...iim->...m", geo.fc)  # sum_i nabla_{e_i} e_i, frame comps
-    drift = np.einsum("...m,...m->...", trace_dirs, np.einsum("...ma,...a->...m", E, grad))
-    return second - drift
+    """G_ab d_a d_b f + v_b d_b f from the jets grad[..., a], hess[..., a, b] of f (see Geometry)."""
+    return np.einsum("...ab,...ab->...", geo.G, hess) + np.einsum("...b,...b->...", geo.v, grad)
 
 
-def scalar_laplacian(f, p) -> float:
+def scalar_laplacian(f, p) -> float | np.ndarray:
     """Laplacian sum_i [e_i(e_i f) - (nabla_{e_i} e_i) f] of a scalar component.
 
     ``f`` is a closed-form callable of (x, y, s, t) evaluable on jets.

@@ -49,8 +49,10 @@ def xy_field():
 def test_geometry_batch_matches_single_points(batch):
     pts, P, rng = batch
     geo = curvature.geometry_at(P)
-    for name in ("E", "dE", "fc", "dfc", "Rfr"):
+    for name in ("E", "fc", "dfc", "Rfr", "G", "v", "C", "M"):
         assert_batch_matches(getattr(geo, name), [getattr(curvature.geometry_at(p), name) for p in pts])
+    for k in range(3):  # the carried coframe jets
+        assert_batch_matches(geo.coframe[k], [curvature.geometry_at(p).coframe[k] for p in pts])
     for fn in (
         curvature.christoffel_at,
         curvature.metric_compatibility_defect,
@@ -180,12 +182,16 @@ def test_frame_jets_of_matches_each_field_and_evaluates_the_coframe_once(batch, 
     _, P, _ = batch
     fields = [xy_field(), constant_frame_field([1.0, -2.0, 0.5, 3.0]), corollary_field(CorollaryFamily(3, 1.0, 0.5))]
     singles = [X.frame_component_jets(P) for X in fields]
+    carried = curvature.geometry_at(P).coframe
     calls = []
     coframe_jets = chart.coframe_jets
     monkeypatch.setattr(chart, "coframe_jets", lambda p: calls.append(np.shape(p)) or coframe_jets(p))
     together = list(chart.frame_jets_of(fields, P))
     assert calls == [P.shape]
-    for one, many in zip(singles, together):
+    # the coframe a geometry carries converts them too, with no coframe evaluation
+    given = list(chart.frame_jets_of(fields, P, carried)) + [X.frame_component_jets(P, carried) for X in fields]
+    assert calls == [P.shape]
+    for one, many in zip(singles * 3, together + given):
         assert all(np.array_equal(a, b) for a, b in zip(one, many))  # the same conversion, bit for bit
     list(chart.frame_jets_of(fields[1:2], P))
     assert calls == [P.shape]  # frame-basis fields need no coframe
@@ -208,8 +214,8 @@ def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
     assert (after.hits, after.misses) == (before.hits, before.misses)
     # one build over all 50 points (nongradient needs metric jets only)
     assert [int(np.prod(shape[:-1])) for shape in builds] == ([] if name == "nongradient" else [50])
-    # and at most one coframe, however many coordinate-basis fields the check converts
-    assert [int(np.prod(shape[:-1])) for shape in coframes] in ([], [50])
+    # and no coframe outside it, however many coordinate-basis fields the check converts: they use the build's
+    assert coframes == []
     # outside a geometry build, nongradient evaluates the metric once on its sampled rows and once on its grid
     assert sorted(int(np.prod(shape[:-1])) for shape in metrics) == ([50, 625] if name == "nongradient" else [])
     # the build works in the frame: one frame and one coframe evaluation, no metric or inverse-metric jets

@@ -83,6 +83,15 @@ def test_soliton_residual_still_vanishes(rotated):
     assert np.max(np.abs(soliton.soliton_residual(xi, soliton.SOLITON_LAMBDA, P))) < TOL
 
 
+def test_scalar_laplacian_coefficients_do_not_depend_on_the_frame(rotated):
+    # the metric closed forms are not rotated, so the metric route gives the unrotated operator
+    P, _ = rotated
+    geo = curvature.geometry_at(P)
+    assert np.max(np.abs(geo.G - chart.inverse_metric_jets(P)[0])) < TOL
+    drift = -np.einsum("...ab,...cab->...c", chart.inverse_metric_at(P), curvature.christoffel_at(P))
+    assert np.max(np.abs(geo.v - drift)) < TOL
+
+
 @pytest.mark.parametrize("index", [1, 2, 3, 4])
 def test_rough_laplacian_still_vanishes(rotated, index):
     P, _ = rotated
