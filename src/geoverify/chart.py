@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
-from .jets import NVARS, DomainError, Jet2, _require, point_jets, reciprocal, sqrt
+from .jets import _GRAD, _HESS, NSLOTS, NVARS, DomainError, Jet2, _axes, _lift, _require, point_jets, reciprocal, sqrt
 
 __all__ = [
     "Point", "as_point", "CoordVector", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field",
@@ -154,18 +154,17 @@ def _jets(f: Callable, p) -> _JetArrays:
     while isinstance(entries[0], tuple):
         shape += (len(entries[0]),)
         entries = [e for row in entries for e in row]
-    batch, n = P.shape[:-1], len(entries)
-    # stored with the batch axes innermost, viewed batch-first: einsum keeps that memory layout for its
+    batch = P.shape[:-1]
+    # one buffer with the batch axes innermost, viewed batch-first: einsum keeps that memory layout for its
     # results (order="K"), so every contraction downstream loops over the batch, not over length-4 axes
-    shapes = (n,), (NVARS, n), (NVARS, NVARS, n)
-    val, grad, hess = (np.moveaxis(np.zeros(s + batch), range(len(s)), range(-len(s), 0)) for s in shapes)
+    B = np.zeros((NSLOTS, len(entries)) + batch, P.dtype)
     for k, jet in enumerate(entries):
         if isinstance(jet, Jet2):
-            val[..., k], grad[..., k], hess[..., k] = jet.value, jet.grad, jet.hess
+            B[:, k] = _lift(jet.J, batch)
         else:
-            val[..., k] = jet
-    d1, d2 = batch + (NVARS,), batch + (NVARS, NVARS)
-    return val.reshape(batch + shape), grad.reshape(d1 + shape), hess.reshape(d2 + shape)
+            B[0, k] = jet
+    parts = (B[0], shape), (B[_GRAD], (NVARS,) + shape), (B[_HESS], (NVARS, NVARS) + shape)
+    return tuple(A.reshape(d + batch).transpose(_axes(len(d), len(d + batch))) for A, d in parts)
 
 
 def _apply(A: _JetArrays, x: _JetArrays) -> _JetArrays:

@@ -47,7 +47,6 @@ class Geometry:
         E[..., i,a]            frame e_{i+1} components against d/dx_a
         coframe                jets (T, dT, d2T) of the coframe rows th_{k+1}, for converting coordinate fields
         fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k)
-        dfc[..., m,i,j,k]      d_m fc[i,j,k]
         Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l)
 
     and the Laplacians' coefficients: Lap f = G_ab d_a d_b f + v_b d_b f, (Lap X)_j = Lap X_j + C_akj d_a X_k + M_kj X_k
@@ -61,7 +60,6 @@ class Geometry:
     E: np.ndarray
     coframe: tuple[np.ndarray, np.ndarray, np.ndarray]
     fc: np.ndarray
-    dfc: np.ndarray
     Rfr: np.ndarray
     G: np.ndarray
     v: np.ndarray
@@ -77,6 +75,7 @@ def _brackets(p):
     dD = np.einsum("...mia,...ajb->...mijb", dE, dE) + np.einsum("...ia,...majb->...mijb", E, d2E)
     B, dB = D - np.swapaxes(D, -3, -2), dD - np.swapaxes(dD, -3, -2)  # [e_i, e_j]^b and d_m of it
     dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT)
+    E = E.copy(order="K")  # E's own array, in its layout: a view would keep the frame's derivatives alive
     return E, np.einsum("...iib->...b", D), coframe, np.einsum("...ijb,...kb->...ijk", B, T), dc
 
 
@@ -95,7 +94,7 @@ def _build(p) -> Geometry:
     tau = np.einsum("...iim->...m", fc)
     v, C = eE - np.einsum("...m,...mb->...b", tau, E), 2 * np.einsum("...ia,...ikj->...akj", E, fc)
     M = np.einsum("...iikj->...kj", A) - np.einsum("...m,...mkj->...kj", tau, fc)
-    return Geometry(E, coframe, fc, dfc, Rfr, np.swapaxes(E, -1, -2) @ E, v, C, M)
+    return Geometry(E, coframe, fc, Rfr, np.swapaxes(E, -1, -2) @ E, v, C, M)
 
 
 # single points only: a replay asks for one point's geometry several times; a check's batch is built once

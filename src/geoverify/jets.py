@@ -1,9 +1,14 @@
 """Second-order jet arithmetic in the four chart variables (x, y, s, t).
 
 A :class:`Jet2` carries the value, gradient and symmetric Hessian of a
-scalar expression at a point, or at every point of a batch: the value
-has the batch shape ``S`` (``()`` for a single point), the gradient
-``S + (4,)`` and the Hessian ``S + (4, 4)``.  Propagating jets through
+scalar expression at a point, or at every point of a batch of shape ``S``
+(``()`` for a single point), packed like forward-mode Taylor coefficients
+in one contiguous array ``J`` of shape ``(21,) + S``, batch axes last and
+in the floating dtype of the seeded point (float64 by default): ``J[0]``
+is the value, ``J[1:5]`` the gradient and ``J[5:21]`` the row-major
+Hessian.  So a sum or a product with a constant is one numpy operation at
+any batch size.  ``value``, ``grad`` and ``hess`` are batch-first views of
+shapes ``S``, ``S + (4,)`` and ``S + (4, 4)``.  Propagating jets through
 the arithmetic operators gives first and second partial derivatives that
 are exact up to roundoff, which is what every curvature and residual
 computation in this package is built on.  Jets are capped at order 2:
@@ -17,11 +22,15 @@ a float or an ndarray of the batch shape (one value per point).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
 NVARS = 4
+NSLOTS = 1 + NVARS + NVARS * NVARS  # value, gradient, row-major Hessian
+_GRAD, _HESS, _SQUARE = slice(1, 1 + NVARS), slice(1 + NVARS, NSLOTS), (NVARS, NVARS)
 
 __all__ = ["DomainError", "Jet2", "seed", "constant", "point_jets", "sqrt", "reciprocal"]
 
@@ -42,19 +51,21 @@ def _require(ok, what: str):
 
 
 class Jet2:
-    """Value, gradient and Hessian of a scalar at a chart point or a batch of points.
+    """Value, gradient and Hessian of a scalar at a chart point or a batch of points, packed in ``J``.
 
     The Hessian is stored in full but every operation builds it from
     symmetric pieces, so ``hess == swapaxes(hess, -1, -2)`` holds bit for bit.
     """
 
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("J",)
     __array_ufunc__ = None  # ndarray (+-*/) Jet2 defers to the Jet2 operator
 
-    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
+    def __init__(self, J: np.ndarray):
+        self.J = J
+
+    value = property(lambda self: self.J[0])
+    grad = property(lambda self: self.J[_GRAD].transpose(_axes(1, self.J.ndim)))
+    hess = property(lambda self: self.J[_HESS].reshape(_SQUARE + self.J.shape[1:]).transpose(_axes(2, self.J.ndim + 1)))
 
     def __repr__(self):
         return f"Jet2(value={self.value!r}, grad={self.grad.tolist()!r})"
@@ -62,35 +73,31 @@ class Jet2:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        return Jet2(self.value + np.asarray(other, dtype=float), self.grad, self.hess)
+        return _shift(self, other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(-self.J)
 
     def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-        return Jet2(self.value - np.asarray(other, dtype=float), self.grad, self.hess)
+        return _shift(self, other, operator.sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            c = np.asarray(other, dtype=float)
-            return Jet2(self.value * c, self.grad * c[..., None], self.hess * c[..., None, None])
-        u, v = self.value[..., None], other.value[..., None]
-        cross = self.grad[..., :, None] * other.grad[..., None, :]
-        cross = cross + cross.swapaxes(-1, -2)  # symmetrize before accumulating: exact Hessian symmetry
-        return Jet2(
-            self.value * other.value,
-            u * other.grad + v * self.grad,
-            u[..., None] * other.hess + v[..., None] * self.hess + cross,
-        )
+            J, c = _with_constant(self.J, other)
+            return Jet2(J * c)
+        X, Y = _joint(self.J, other.J)
+        u, v = X[0], Y[0]
+        J = X * v + Y * u
+        J[0] = u * v
+        cross = X[_GRAD, None] * Y[None, _GRAD]
+        H = J[_HESS]
+        H += (cross + cross.swapaxes(0, 1)).reshape(H.shape)  # symmetrized: exact Hessian symmetry
+        return Jet2(J)
 
     __rmul__ = __mul__
 
@@ -102,7 +109,7 @@ class Jet2:
 
     def __pow__(self, r):
         r = float(r)
-        v = np.asarray(self.value, dtype=float)  # overflows to inf, where a float power raises
+        v = np.asarray(self.J[0])  # overflows to inf, where a float power raises
         if not math.isfinite(r):
             raise DomainError(f"non-finite exponent {r}")
         if r == int(r):
@@ -117,40 +124,81 @@ class Jet2:
         return _compose(self, h0, r * h0 / v, r * (r - 1.0) * h0 / (v * v))
 
 
+@functools.cache
+def _axes(lead: int, ndim: int) -> tuple[int, ...]:
+    """Transpose axes that move the trailing batch axes of an ``ndim``-axis array in front of its ``lead`` others."""
+    return tuple(range(lead, ndim)) + tuple(range(lead))
+
+
+def _lift(J: np.ndarray, shape: tuple) -> np.ndarray:
+    """Packed jets J broadcast to the batch they share with ``shape``, new batch axes after the slot axis."""
+    if shape == J.shape[1:] or not shape:
+        return J
+    batch = np.broadcast_shapes(J.shape[1:], shape)
+    return np.broadcast_to(J.reshape(J.shape[:1] + (1,) * (len(batch) + 1 - J.ndim) + J.shape[1:]), J.shape[:1] + batch)
+
+
+def _joint(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed jets A and B broadcast to the batch they share (see :func:`_lift`)."""
+    return (A, B) if A.shape == B.shape else (_lift(A, B.shape[1:]), _lift(B, A.shape[1:]))
+
+
+def _with_constant(J: np.ndarray, c):
+    """J broadcast against a constant c, and c: a number, or an array with one value per point."""
+    if isinstance(c, (int, float)):
+        return J, c
+    c = np.asarray(c)
+    return _lift(J, c.shape), c
+
+
+def _shift(f: Jet2, other, op) -> Jet2:
+    """f + other or f - other: one ``op`` on all the slots of two jets, or on the value slot of a copy of f."""
+    if isinstance(other, Jet2):
+        return Jet2(op(*_joint(f.J, other.J)))
+    J, c = _with_constant(f.J, other)
+    J = J.copy()
+    J[0] = op(J[0], c)
+    return Jet2(J)
+
+
 def _compose(f: Jet2, h0, h1, h2) -> Jet2:
     """Chain rule for a scalar function h applied to jet f (h0=h(v), h1=h'(v), h2=h''(v))."""
-    g = f.grad
-    outer = g[..., :, None] * g[..., None, :]  # exactly symmetric
-    h1 = h1[..., None]
-    return Jet2(h0, h1 * g, h1[..., None] * f.hess + h2[..., None, None] * outer)
+    g = f.J[_GRAD]
+    J = f.J * h1
+    J[0] = h0
+    H = J[_HESS]
+    H += (h2 * (g[:, None] * g[None, :])).reshape(H.shape)  # the outer product is exactly symmetric
+    return Jet2(J)
 
 
 def seed(p, k: int) -> Jet2:
     """Jet of the k-th coordinate function (0=x, 1=y, 2=s, 3=t) at a point or a (..., 4) batch p."""
     if not 0 <= k < NVARS:
         raise ValueError(f"variable index {k} out of range")
-    P = p if isinstance(p, np.ndarray) else np.array([p[i] for i in range(NVARS)], dtype=float)
-    value = P[..., k][()]  # a numpy scalar for a single point
-    grad = np.zeros(value.shape + (NVARS,))
-    grad[..., k] = 1.0
-    return Jet2(value, grad, np.zeros(value.shape + (NVARS, NVARS)))
+    return point_jets(p)[k]
 
 
 def constant(c) -> Jet2:
     """Jet of a constant: a float, or an ndarray with one value per point of a batch."""
-    value = np.asarray(c, dtype=float)
-    return Jet2(value, np.zeros(value.shape + (NVARS,)), np.zeros(value.shape + (NVARS, NVARS)))
+    c = np.asarray(c)
+    J = np.zeros((NSLOTS,) + c.shape, np.result_type(c, 0.0))
+    J[0] = c
+    return Jet2(J)
 
 
 def point_jets(p) -> tuple[Jet2, Jet2, Jet2, Jet2]:
-    """The four coordinate jets (x, y, s, t) seeded at a point or a (..., 4) batch p."""
-    return tuple(seed(p, k) for k in range(NVARS))
+    """The four coordinate jets (x, y, s, t) seeded at a point or a (..., 4) batch p, in p's floating dtype."""
+    P = p if isinstance(p, np.ndarray) else np.asarray([p[i] for i in range(NVARS)])
+    J = np.zeros((NVARS, NSLOTS) + P.shape[:-1], np.result_type(P, 0.0))
+    for k in range(NVARS):
+        J[k, 0], J[k, 1 + k] = P[..., k], 1.0
+    return tuple(map(Jet2, J))
 
 
 def sqrt(u):
     """Square root for floats, arrays and jets; positive argument required."""
     if isinstance(u, Jet2):
-        v = u.value
+        v = u.J[0]
         _require(~(v <= 0.0), "sqrt of non-positive value")
         r = np.sqrt(v)
         return _compose(u, r, 0.5 / r, -0.25 / (r * v))
@@ -161,7 +209,7 @@ def sqrt(u):
 def reciprocal(u):
     """1/u for floats, arrays and jets; nonzero argument required."""
     if isinstance(u, Jet2):
-        v = u.value
+        v = u.J[0]
         _require(v != 0.0, "reciprocal of zero")
         w = 1.0 / v
         return _compose(u, w, -w * w, 2.0 * w * w * w)

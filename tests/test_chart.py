@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoverify import chart
 from geoverify.chart import (
     AnalyticVectorField,
     CoordVector,
@@ -21,7 +22,7 @@ from geoverify.chart import (
     to_coord,
     to_frame,
 )
-from geoverify.jets import DomainError
+from geoverify.jets import DomainError, point_jets, sqrt
 
 from oracles import (
     coframe_entries,
@@ -171,3 +172,20 @@ def test_tables_match_independent_closed_forms(table, oracle):
         fg, fh = fd_gradient(oracle, p), fd_hessian_richardson(oracle, p)
         assert np.max(np.abs(dv - fg) / np.maximum(1.0, np.abs(fg))) < 1e-6
         assert np.max(np.abs(d2v - fh) / np.maximum(1.0, np.abs(fh))) < 1e-7
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (300,), (3, 5)])
+def test_jet_arrays_keep_their_shapes_with_the_batch_innermost_in_memory(batch):
+    P = np.random.default_rng(22).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    scalar = lambda x, y, s, t: s * sqrt(t) + x * y
+    vector = lambda x, y, s, t: (t * s, 1.0, x / t, scalar(x, y, s, t))
+    for f, shape in ((scalar, ()), (vector, (4,)), (chart._frame, (4, 4)), (chart._metric, (4, 4))):
+        arrays = chart._jets(f, P)
+        assert [a.shape for a in arrays] == [batch + d + shape for d in ((), (4,), (4, 4))]
+        for a in arrays:  # moving the batch axes last gives the memory order, so each entry's batch is contiguous
+            assert np.moveaxis(a, range(len(batch)), range(-len(batch), 0)).flags.c_contiguous
+        hess = arrays[2]
+        assert np.array_equal(hess, np.swapaxes(hess, len(batch), len(batch) + 1))
+    jet = scalar(*point_jets(P)) / (point_jets(P)[3] ** 2 + 1.0)
+    assert (jet.value.shape, jet.grad.shape, jet.hess.shape) == (batch, batch + (4,), batch + (4, 4))
+    assert np.array_equal(jet.hess, np.swapaxes(jet.hess, -1, -2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoverify import chart
 from geoverify.jets import DomainError, Jet2, constant, point_jets, reciprocal, seed, sqrt
 
 from oracles import fd_gradient, fd_hessian, fd_hessian_richardson, tame_expression_at
@@ -134,3 +135,46 @@ def test_fd_agreement_sample():
         scale_h = np.maximum(1.0, np.abs(fh))
         assert np.max(np.abs(jet.grad - fg) / scale_g) < 1e-5
         assert np.max(np.abs(jet.hess - fh) / scale_h) < 1e-5
+
+
+def test_single_point_jet_with_per_point_constants_broadcasts_every_part():
+    # 21 constants, as many as a jet has Taylor slots: a product that paired them with the slots would keep
+    # the single-point shape and pass for a correct result
+    t = seed((0.0, 0.0, 0.0, 2.0), 3)
+    x = point_jets(np.tile([0.5, 0.0, 0.0, 2.0], (21, 1)))[0]
+    c = np.arange(1.0, 22.0)
+    cases = [
+        (lambda t, c: t * c, c),
+        (lambda t, c: c * t, c),
+        (lambda t, c: c + t, c),
+        (lambda t, c: t + c, c),
+        (lambda t, c: t - c, c),
+        (lambda t, c: c - t, c),
+        (lambda t, c: t / c, c),
+        (lambda t, c: c / t, c),
+        (lambda t, x: x * t, x),
+        (lambda t, x: t * x + t, x),
+        (lambda t, x: t - x, x),
+    ]
+    for op, other in cases:
+        got = op(t, other)
+        assert (got.value.shape, got.grad.shape, got.hess.shape) == ((21,), (21, 4), (21, 4, 4))
+        for i in range(21):
+            want = op(t, float(c[i]) if other is c else seed((0.5, 0.0, 0.0, 2.0), 0))
+            assert got.value[i] == want.value
+            assert np.array_equal(got.grad[i], want.grad)
+            assert np.array_equal(got.hess[i], want.hess)
+
+
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_longdouble_points_give_longdouble_jets(batch):
+    P = np.random.default_rng(11).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    exact, rounded = point_jets(P.astype(np.longdouble)), point_jets(P)
+    assert point_jets(np.arange(1, 5))[0].J.dtype == point_jets((1, 2, 3, 4))[3].J.dtype == np.float64  # the default
+    for table in (chart._frame, chart._coframe, chart._metric, chart._inverse_metric):
+        for a, b in zip(*([e for row in table(*q) for e in row if isinstance(e, Jet2)] for q in (exact, rounded))):
+            assert a.J.dtype == a.value.dtype == a.grad.dtype == a.hess.dtype == np.longdouble
+            assert b.J.dtype == np.float64
+            assert np.max(np.abs(a.J - b.J)) <= 1e-15 * np.max(np.abs(b.J))
+    assert constant(np.longdouble(2.0)).J.dtype == np.longdouble
+    assert constant(2).J.dtype == np.float64
