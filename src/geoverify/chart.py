@@ -16,14 +16,14 @@ d/dx) and the metric g = th1^2 + th2^2 + th3^2 + th4^2 has matrix
      [  0,        0,        1/(4t^2),     0 ],
      [  0,        0,           0,     1/(4t^2)]].
 
-Each of the four tables (frame, coframe, metric, inverse metric) is one
-closed-form function of (x, y, s, t) over the jet arithmetic that forms
-each shared subexpression, such as sqrt(t) or 1/t, once and returns the
-4x4 grid.  So the same definitions serve values, gradients and Hessians,
+The four tables (frame, coframe, metric, inverse metric) are closed forms
+in (x, y, s, t) over the jet arithmetic that form each shared subexpression,
+such as sqrt(t) or 1/t, once and return 4x4 grids; the frame and coframe
+share one.  So the same definitions serve values, gradients and Hessians,
 at one point or at a (..., 4) batch of points in one numpy evaluation.
-``_jets`` evaluates any such closed form, one returning a jet or constant,
-a 4-tuple or a 4x4 nested tuple, into ``(val, grad, hess)`` arrays, the
-only jet format that leaves this module.
+``_jets`` evaluates any such closed form, one returning a jet or constant
+or nested 4-tuples of them, into ``(val, grad, hess)`` arrays, the only
+jet format that leaves this module.
 
 Vector quantities carry their basis explicitly: :class:`FrameVector`
 components are against (e1..e4), :class:`CoordVector` components against
@@ -34,7 +34,7 @@ explicit conversion at a point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -108,17 +108,13 @@ def _const(c: float) -> Component:
 
 
 # the closed-form tables, one function each that computes every shared subexpression once;
-# rows are e1..e4 resp. th1..th4, columns coordinate slots
-def _frame(x, y, s, t):
-    r = sqrt(t)
-    ir = reciprocal(r)
-    return (r, 0.0, 0.0, 0.0), (s * ir, ir, 0.0, 0.0), (0.0, 0.0, 2 * t, 0.0), (0.0, 0.0, 0.0, 2 * t)
-
-
-def _coframe(x, y, s, t):
-    r = sqrt(t)
-    ir, h = reciprocal(r), reciprocal(2 * t)
-    return (ir, -s * ir, 0.0, 0.0), (0.0, r, 0.0, 0.0), (0.0, 0.0, h, 0.0), (0.0, 0.0, 0.0, h)
+# rows are e1..e4 resp. th1..th4, columns coordinate slots; the frame and the coframe share one closed form
+def _frames(x, y, s, t):
+    r, w = sqrt(t), 2 * t
+    ir, h = reciprocal(r), reciprocal(w)
+    u = s * ir
+    frame = (r, 0.0, 0.0, 0.0), (u, ir, 0.0, 0.0), (0.0, 0.0, w, 0.0), (0.0, 0.0, 0.0, w)
+    return frame, ((ir, -u, 0.0, 0.0), (0.0, r, 0.0, 0.0), (0.0, 0.0, h, 0.0), (0.0, 0.0, 0.0, h))
 
 
 def _metric(x, y, s, t):
@@ -146,7 +142,7 @@ def _as_points(p) -> np.ndarray:
 def _jets(f: Callable, p) -> _JetArrays:
     """Evaluate the closed form ``f`` at a point or a (..., 4) batch p, in one call.
 
-    ``f(x, y, s, t)`` returns a jet or constant, a 4-tuple of them, or a 4x4 nested tuple.  Returns
+    ``f(x, y, s, t)`` returns a jet or constant, or nested tuples of them, such as a 4x4 grid.  Returns
     ``val[..., e]``, ``grad[..., m, e] = d_m entry`` and ``hess[..., m, n, e] = d_m d_n entry``.
     """
     P = _as_points(p)
@@ -167,13 +163,15 @@ def _jets(f: Callable, p) -> _JetArrays:
     return tuple(A.reshape(d + batch).transpose(_axes(len(d), len(d + batch))) for A, d in parts)
 
 
-def _apply(A: _JetArrays, x: _JetArrays) -> _JetArrays:
-    """Jets of A @ x by the product rule; the cross term is added to its transpose, so hess stays symmetric."""
-    (a, da, d2a), (v, dv, d2v) = A, x
-    cross = np.einsum("...mij,...nj->...mni", da, dv)  # d_m A_ij d_n x_j
-    hess = np.einsum("...mnij,...j->...mni", d2a, v) + np.einsum("...ij,...mnj->...mni", a, d2v)
-    hess += cross + np.swapaxes(cross, -3, -2)
+def _apply(A: _JetArrays, x: tuple) -> tuple:
+    """Jets of A @ x by the product rule, to the order of x's jets; hess's cross term is added to its transpose."""
+    (a, da, d2a), (v, dv, *d2v) = A, x
     grad = np.einsum("...mij,...j->...mi", da, v) + np.einsum("...ij,...mj->...mi", a, dv)
+    if not d2v:
+        return np.einsum("...ij,...j->...i", a, v), grad
+    cross = np.einsum("...mij,...nj->...mni", da, dv)  # d_m A_ij d_n x_j
+    hess = np.einsum("...mnij,...j->...mni", d2a, v) + np.einsum("...ij,...mnj->...mni", a, d2v[0])
+    hess += cross + np.swapaxes(cross, -3, -2)
     return np.einsum("...ij,...j->...i", a, v), grad, hess
 
 
@@ -210,12 +208,14 @@ def inverse_metric_jets(p) -> _JetArrays:
     return _jets(_inverse_metric, p)
 
 
-def frame_jets(p) -> _JetArrays:
-    return _jets(_frame, p)
+def frame_jets(p, coframe: bool = False) -> _JetArrays:
+    """Jets of the frame rows at p; with ``coframe``, of frame and coframe rows together, entry axes (2, 4, 4)."""
+    F = _jets(_frames, p)
+    return F if coframe else tuple(a[..., 0, :, :] for a in F)
 
 
 def coframe_jets(p) -> _JetArrays:
-    return _jets(_coframe, p)
+    return tuple(a[..., 1, :, :] for a in _jets(_frames, p))
 
 
 def frame_at(p) -> tuple[CoordVector, CoordVector, CoordVector, CoordVector]:
@@ -263,9 +263,11 @@ class AnalyticVectorField:
         """Jets ``(val[..., k], grad[..., a, k], hess[..., a, b, k])`` of the components in the field's own basis."""
         return _jets(lambda *q: tuple(f(*q) for f in self.components), p)
 
-    def frame_component_jets(self, p, coframe: _JetArrays | None = None) -> _JetArrays:
-        """Jets of the frame components at p (converting if needed, with the coframe jets at p if given): th_j(X)."""
-        return next(frame_jets_of([self], p, coframe))
+    def frame_component_jets(self, p, coframe: _JetArrays | None = None, order: int = 2) -> tuple:
+        """Jets of the frame components th_j(X) at p to ``order`` 1 or 2 (converting if needed, with the coframe jets
+        at p if given): (val, grad) or (val, grad, hess)."""
+        own = self.component_jets(p)[: order + 1]
+        return own if self.basis == "frame" else _apply(coframe or coframe_jets(p), own)
 
     def coordinate_component_jets(self, p) -> _JetArrays:
         """Jets of the coordinate components at p (converting if needed): sum_j X_j e_j."""
@@ -279,17 +281,6 @@ class AnalyticVectorField:
 
     def coordinate_values(self, p) -> np.ndarray:
         return self.coordinate_component_jets(p)[0]
-
-
-def frame_jets_of(fields: Iterable[AnalyticVectorField], p, coframe: _JetArrays | None = None) -> Iterator[_JetArrays]:
-    """Jets of each field's frame components at p in turn, converting them all with one coframe: the coframe jets
-    at p if given (a geometry carries them), else one evaluation made when the first coordinate field needs it."""
-    for X in fields:
-        own = X.component_jets(p)
-        if X.basis == "coordinate":
-            coframe = coframe or coframe_jets(p)
-            own = _apply(coframe, own)
-        yield own
 
 
 def coordinate_field(fx: Component, fy: Component, fs: Component, ft: Component) -> AnalyticVectorField:

@@ -36,9 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import (
-    FrameVector, as_point, constant_frame_field, coordinate_field, frame_field, frame_jets_of, metric_jets,
-)
+from .chart import FrameVector, as_point, constant_frame_field, coordinate_field, frame_field, metric_jets
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily, corollary_field
 from .jets import DomainError
@@ -268,9 +266,8 @@ def _check_harmonic_components(cfg: RunConfig, P: np.ndarray):
 
     def block(Q, rows):
         _, grad, hess = soliton.soliton_field(SolitonParams(*c[rows].T)).component_jets(Q)
-        # one scalar Laplacian per component, component axis first
-        laplacians = soliton._scalar_laplacian(geometry_at(Q), np.moveaxis(grad, -1, 0), np.moveaxis(hess, -1, 0))
-        return [_zero(np.max(np.abs(laplacians), axis=0), Q)]
+        laplacians = soliton._scalar_laplacian(geometry_at(Q), grad, hess)  # one scalar Laplacian per component
+        return [_zero(_worst(laplacians, 1), Q)]
 
     return len(P), _chunked(P, block)
 
@@ -314,8 +311,8 @@ def _check_corollary(cfg: RunConfig, P: np.ndarray):
     def block(Q, rows):
         families = [corollary_field(CorollaryFamily(k, *c[k - 1][rows].T)) for k in (1, 2, 3, 4)]
         geo = geometry_at(Q)
-        jets = frame_jets_of(families + shifted, Q, geo.coframe)  # families 1..4, then shifted
-        res = [_worst(harmonic._rough_laplacian(geo, *field), 1) for field in jets]
+        basis = harmonic._coordinate_basis(geo)  # the coordinate fields' Laplacian coefficients, once per block
+        res = [_worst(harmonic._rough_laplacian(geo, *X.component_jets(Q), basis), 1) for X in families + shifted]
         return [_zero(r, Q) for r in res[:4]] + [_exceeds(r, Q) for r in res[4:]]
 
     return 8 * len(P), _chunked(P, block)
@@ -330,16 +327,15 @@ def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
 
     def block(Q, rows):
         geo = geometry_at(Q)
+        basis = harmonic._coordinate_basis(geo)  # once per block, for the coordinate-basis witnesses
+        tension = lambda X: harmonic._tension(*harmonic._field_data(X, Q, geo, basis)).max_component()
         head = Q[: max(0, n_zero - rows.start)]  # the block's rows among the check's first ten
-        zero_res = np.empty(0)
-        if len(head):
-            zero_jets = constant_frame_field([0.0, 0.0, 0.0, 0.0]).frame_component_jets(Q)
-            zero_res = harmonic._tension(geo, *zero_jets).max_component()[: len(head)]
-        mags = [harmonic._tension(geo, *jets).max_component() for jets in frame_jets_of(witnesses, Q, geo.coframe)]
+        zero_res = tension(constant_frame_field([0.0, 0.0, 0.0, 0.0]))[: len(head)] if len(head) else np.empty(0)
+        mags = [tension(X) for X in witnesses]
 
         # expanded quadratic identity for the last tension component
         k = comp[rows]
-        t4 = harmonic._horizontal_tension(geo, *constant_frame_field(k).frame_component_jets(Q))[:, 3]
+        t4 = harmonic._horizontal_tension(geo, *constant_frame_field(k).frame_component_jets(Q, order=1))[:, 3]
         quad_res = np.abs(t4 - (2 * k[:, 0] ** 2 + 2 * k[:, 1] ** 2 + 8 * k[:, 2] ** 2 + 8 * k[:, 3] ** 2))
 
         # a witness at or below the margin would wrongly pass as a harmonic map

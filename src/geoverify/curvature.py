@@ -10,6 +10,12 @@ outputs of a generic pipeline fed only by the frame's closed form, not
 inputs, which is what makes comparing them against the published integer
 tables a meaningful check.
 
+Contractions over a derivative index run over the live coordinates only:
+those in which some first or second derivative of the frame or coframe is
+not exactly zero, NaN and inf counting as nonzero, somewhere in the batch
+(s and t on F4).  The rows left out are exact zeros, so every finite
+result is the full contraction's bit for bit; only a 0*inf or 0*NaN can go.
+
 Sign conventions:
 
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
@@ -18,12 +24,13 @@ Sign conventions:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .chart import FrameVector, _per_point, as_point, coframe_jets, frame_jets, inverse_metric_jets, metric_jets
+from .chart import FrameVector, _per_point, as_point, frame_jets, inverse_metric_jets, metric_jets
 
 __all__ = [
     "christoffel_at",
@@ -40,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Geometry:
-    """Pointwise frame arrays for one chart point or a batch (all indices 0-based).
+    """Pointwise frame arrays for one chart point or a batch (all indices 0-based), built in the live coordinates.
 
     Batch axes come first, then derivative indices, then the entry:
 
@@ -67,16 +74,26 @@ class Geometry:
     M: np.ndarray
 
 
-def _brackets(p):
-    """E, eE[b] = sum_i e_i(E_ib), the coframe jets, and c[i,j,k] = th_k([e_i, e_j]) with dc[m,i,j,k] = d_m c."""
-    E, dE, d2E = frame_jets(p)
-    coframe = T, dT, _ = coframe_jets(p)
-    D = np.einsum("...ia,...ajb->...ijb", E, dE)  # D[i,j,b] = e_i(E_jb)
-    dD = np.einsum("...mia,...ajb->...mijb", dE, dE) + np.einsum("...ia,...majb->...mijb", E, d2E)
+_Brackets = namedtuple("_Brackets", "E eE coframe c dc live")
+
+
+def _brackets(p) -> _Brackets:
+    """E, eE[b] = sum_i e_i(E_ib), the coframe jets, c[i,j,k] = th_k([e_i, e_j]), and dc[m,i,j,k] = d_m c for the
+    live coordinates m, which ``live`` indexes: a slice when they are consecutive, else an index array."""
+    F, dF, d2F = frame_jets(p, coframe=True)  # entry axes (frame or coframe, row, coordinate slot)
+    axes = tuple(range(F.ndim - 3)) + (-3, -2, -1)  # all but the (first) derivative index
+    rows = np.flatnonzero(np.any(dF != 0.0, axis=axes) | np.any(d2F != 0.0, axis=axes + (-4,)))
+    live = slice(rows[0], rows[-1] + 1) if len(rows) and rows[-1] - rows[0] == len(rows) - 1 else rows
+    E, dE, d2E = (a[..., 0, :, :] for a in (F, dF, d2F))
+    coframe = T, dT, _ = tuple(a[..., 1, :, :].copy(order="K") for a in (F, dF, d2F))  # own arrays, as E below
+    EL, dEL = E[..., live], dE[..., live, :, :]  # E_ia and d_a E_jb for live a
+    D = np.einsum("...ia,...ajb->...ijb", EL, dEL)  # D[i,j,b] = e_i(E_jb)
+    d2EL = d2E[..., live, :, :, :][..., live, :, :]
+    dD = np.einsum("...mia,...ajb->...mijb", dEL[..., live], dEL) + np.einsum("...ia,...majb->...mijb", EL, d2EL)
     B, dB = D - np.swapaxes(D, -3, -2), dD - np.swapaxes(dD, -3, -2)  # [e_i, e_j]^b and d_m of it
-    dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT)
+    dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT[..., live, :, :])
     E = E.copy(order="K")  # E's own array, in its layout: a view would keep the frame's derivatives alive
-    return E, np.einsum("...iib->...b", D), coframe, np.einsum("...ijb,...kb->...ijk", B, T), dc
+    return _Brackets(E, np.einsum("...iib->...b", D), coframe, np.einsum("...ijb,...kb->...ijk", B, T), dc, live)
 
 
 def _koszul(c):
@@ -85,16 +102,17 @@ def _koszul(c):
 
 
 def _build(p) -> Geometry:
-    E, eE, coframe, c, dc = _brackets(p)  # a stage of its own, so the second derivatives are freed before the curvature
+    E, eE, coframe, c, dc, live = _brackets(p)  # a stage of its own: second derivatives are freed before the curvature
     fc, dfc = _koszul(c), _koszul(dc)
     # Cartan: Rfr_ijkl = e_i(fc_jkl) - e_j(fc_ikl) + fc_jkm fc_iml - fc_ikm fc_jml - c_ijm fc_mkl, where
     # A[i,j,k,l] = e_i(fc_jkl) + fc_jkm fc_iml = g(nabla_{e_i} nabla_{e_j} e_k, e_l) and [e_i, e_j] = c_ijm e_m
-    A = np.einsum("...ia,...ajkl->...ijkl", E, dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
+    A = np.einsum("...ia,...ajkl->...ijkl", E[..., live], dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
     Rfr = A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", c, fc)
     tau = np.einsum("...iim->...m", fc)
     v, C = eE - np.einsum("...m,...mb->...b", tau, E), 2 * np.einsum("...ia,...ikj->...akj", E, fc)
     M = np.einsum("...iikj->...kj", A) - np.einsum("...m,...mkj->...kj", tau, fc)
-    return Geometry(E, coframe, fc, Rfr, np.swapaxes(E, -1, -2) @ E, v, C, M)
+    G = np.asfortranarray(np.swapaxes(E, -1, -2) @ E)  # the batch innermost in memory, as in every other array
+    return Geometry(E, coframe, fc, Rfr, G, v, C, M)
 
 
 # single points only: a replay asks for one point's geometry several times; a check's batch is built once

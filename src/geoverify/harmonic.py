@@ -13,12 +13,17 @@ vanishes.  Both residuals are computed intrinsically from the geometry
 built by :mod:`geoverify.curvature` and the jets of the field's frame
 components X_k; the rough Laplacian is each component's scalar Laplacian
 plus C_akj d_a X_k + M_kj X_k, from the geometry's operator coefficients.
-The component-system and
-expanded quadratic forms (:func:`harmonic_section_equations`,
-:func:`horizontal_tension_expanded`) re-derive the same quantities from
-plain s/t partial derivatives and exist purely as independent
-cross-checks; the section system carries weights (1, 1, 1/2, 1/2)
-relative to the intrinsic Laplacian.
+A coordinate field X = X_l d_l takes it by the product rule
+
+    Lap X = (Lap X_l) d_l + 2 nabla_{grad X_l} d_l + X_l Lap d_l,
+
+with one set of coefficients per geometry, so its frame components need
+first derivatives only.  The component-system and expanded quadratic
+forms (:func:`harmonic_section_equations`, :func:`horizontal_tension_expanded`)
+re-derive the same quantities from plain s/t partial derivatives, on
+frame components converted to second order, and exist purely as
+independent cross-checks; the section system carries weights
+(1, 1, 1/2, 1/2) relative to the intrinsic Laplacian.
 
 The four classical families of harmonic sections along single
 coordinate directions are provided by :func:`corollary_field`; families
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, _as_points, _per_point, coordinate_field
+from .chart import AnalyticVectorField, _apply, _as_points, _per_point, coordinate_field
 from .curvature import _nabla, geometry_at
 from .soliton import _scalar_laplacian
 
@@ -111,10 +116,26 @@ def corollary_field(fam: CorollaryFamily) -> AnalyticVectorField:
     return coordinate_field(*comps)
 
 
-def _field_data(X: AnalyticVectorField, p):
-    """The geometry at p and the frame component jets of X: val[..., k], grad[..., a, k], hess[..., a, b, k]."""
-    geo = geometry_at(p)
-    return (geo, *X.frame_component_jets(p, geo.coframe))
+def _coordinate_basis(geo):
+    """The coefficients (T, 2 K, L) of a coordinate field's rough Laplacian on its own component jets, from the
+    coframe jets, which are the frame-component jets of the d_l: T[..., j, l] = th_j(d_l); 2 K[..., a, l, j] =
+    2 G_ab d_b T_jl + C_akj T_kl, so that d_a X_l K[a, l, j] = g(nabla_{grad X_l} d_l, e_j); and L[..., l, j] =
+    g(Lap d_l, e_j), by the frame route of :func:`_rough_laplacian`, l as a leading axis."""
+    T, dT, _ = geo.coframe
+    K2 = np.einsum("...ab,...bjl->...alj", 2 * geo.G, dT) + np.einsum("...akj,...kl->...alj", geo.C, T)
+    L = _rough_laplacian(geo, *(np.einsum("...l->l...", a) for a in geo.coframe))
+    return T, K2, np.einsum("l...j->...lj", L)
+
+
+def _field_data(X: AnalyticVectorField, p, geo=None, basis=None):
+    """The geometry at p (``geo`` if given), X's frame-component jets val[..., k] and grad[..., a, k], to first order,
+    and its rough Laplacian: a coordinate field's by the product rule on its own jets, with ``basis`` (formed here if
+    not given), so that no frame-component Hessian is formed."""
+    geo = geo or geometry_at(p)
+    own = X.component_jets(p)
+    if X.basis == "frame":
+        return geo, own[0], own[1], _rough_laplacian(geo, *own)
+    return (geo, *_apply(geo.coframe, own[:2]), _rough_laplacian(geo, *own, basis or _coordinate_basis(geo)))
 
 
 def _require_st_only(grad: np.ndarray):
@@ -123,19 +144,22 @@ def _require_st_only(grad: np.ndarray):
         raise NotSTOnly(f"field components depend on x or y (gradient {worst:.3e})")
 
 
-def _rough_laplacian(geo, val, grad, hess) -> np.ndarray:
-    # each component's scalar Laplacian, component axis first so that it broadcasts against the geometry
-    lap = np.moveaxis(_scalar_laplacian(geo, np.moveaxis(grad, -1, 0), np.moveaxis(hess, -1, 0)), 0, -1)
-    return lap + np.einsum("...akj,...ak->...j", geo.C, grad) + np.einsum("...k,...kj->...j", val, geo.M)
+def _rough_laplacian(geo, val, grad, hess, basis=None) -> np.ndarray:
+    """Frame components of Lap X from the jets of X's frame components, or of its coordinate components X_l given
+    ``basis = _coordinate_basis(geo)``: Lap(X_l d_l) = (Lap X_l) d_l + 2 nabla_{grad X_l} d_l + X_l Lap d_l."""
+    T, C, M = basis or (None, geo.C, geo.M)
+    lap = _scalar_laplacian(geo, grad, hess)  # each component's
+    lap = lap if T is None else np.einsum("...jl,...l->...j", T, lap)
+    return lap + np.einsum("...akj,...ak->...j", C, grad) + np.einsum("...k,...kj->...j", val, M)
 
 
-def _horizontal_tension(geo, val, grad, _hess) -> np.ndarray:
+def _horizontal_tension(geo, val, grad) -> np.ndarray:
     A = _nabla(geo, val, grad)
     return np.einsum("...ib,...bik->...k", A, np.einsum("...a,...abik->...bik", val, geo.Rfr))
 
 
-def _tension(geo, val, grad, hess) -> TensionValue:
-    return TensionValue(_horizontal_tension(geo, val, grad, hess), _rough_laplacian(geo, val, grad, hess))
+def _tension(geo, val, grad, lap) -> TensionValue:
+    return TensionValue(_horizontal_tension(geo, val, grad), lap)
 
 
 def _section_equations(t, val, grad, hess) -> np.ndarray:
@@ -151,7 +175,7 @@ def _section_equations(t, val, grad, hess) -> np.ndarray:
 
 def rough_laplacian(X: AnalyticVectorField, p) -> np.ndarray:
     """Frame components of the rough Laplacian of X at p."""
-    return _rough_laplacian(*_field_data(X, p))
+    return _field_data(X, p)[3]
 
 
 def harmonic_section_residual(X: AnalyticVectorField, p) -> np.ndarray:
@@ -160,9 +184,9 @@ def harmonic_section_residual(X: AnalyticVectorField, p) -> np.ndarray:
     Raises :class:`NotSTOnly` when the frame components of X depend on x
     or y at p (checked through the jet gradients).
     """
-    geo, val, grad, hess = _field_data(X, p)
+    _, _, grad, lap = _field_data(X, p)
     _require_st_only(grad)
-    return _rough_laplacian(geo, val, grad, hess)
+    return lap
 
 
 def harmonic_section_equations(X: AnalyticVectorField, p) -> np.ndarray:
@@ -176,7 +200,7 @@ def harmonic_section_equations(X: AnalyticVectorField, p) -> np.ndarray:
 
 def horizontal_tension(X: AnalyticVectorField, p) -> np.ndarray:
     """Frame components of sum_i R(X, nabla_{e_i} X) e_i at p."""
-    return _horizontal_tension(*_field_data(X, p))
+    return _horizontal_tension(*_field_data(X, p)[:3])
 
 
 def horizontal_tension_expanded(X: AnalyticVectorField, p) -> np.ndarray:

@@ -45,7 +45,7 @@ class DomainError(ValueError):
 
 def _require(ok, what: str):
     """Raise :class:`DomainError` at the first flat index where the numpy boolean ``ok`` is False."""
-    if not ok.all():
+    if ok is not True and ok is not np.True_ and not np.all(ok):  # a scalar that holds needs no array reduction
         index = int(np.flatnonzero(~ok)[0])
         raise DomainError(f"{what} at batch index {index}", index)
 

@@ -108,7 +108,7 @@ def soliton_frame_components(params: SolitonParams) -> AnalyticVectorField:
 def beta_matrix(xi: AnalyticVectorField, p) -> np.ndarray:
     """beta[..., i, j] = g(nabla_{e_i} xi, e_j) at p."""
     geo = geometry_at(p)
-    return _nabla(geo, *xi.frame_component_jets(p, geo.coframe)[:2])
+    return _nabla(geo, *xi.frame_component_jets(p, geo.coframe, order=1))
 
 
 def lie_derivative_metric(xi: AnalyticVectorField, p) -> np.ndarray:
@@ -120,7 +120,7 @@ def lie_derivative_metric(xi: AnalyticVectorField, p) -> np.ndarray:
 def soliton_residual(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     """Ric + (1/2) L_xi g - lam g in the frame; zero iff (xi, lam) is a soliton at p."""
     geo = geometry_at(p)
-    beta = _nabla(geo, *xi.frame_component_jets(p, geo.coframe)[:2])
+    beta = _nabla(geo, *xi.frame_component_jets(p, geo.coframe, order=1))
     return _ricci(geo.Rfr) + 0.5 * (beta + np.swapaxes(beta, -1, -2)) - lam * np.eye(4)
 
 
@@ -192,8 +192,8 @@ def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
 
 
 def _scalar_laplacian(geo, grad, hess) -> np.ndarray:
-    """G_ab d_a d_b f + v_b d_b f from the jets grad[..., a], hess[..., a, b] of f (see Geometry)."""
-    return np.einsum("...ab,...ab->...", geo.G, hess) + np.einsum("...b,...b->...", geo.v, grad)
+    """G_ab d_a d_b f_k + v_b d_b f_k from the jets grad[..., a, k], hess[..., a, b, k] of the f_k (see Geometry)."""
+    return np.einsum("...ab,...abk->...k", geo.G, hess) + np.einsum("...b,...bk->...k", geo.v, grad)
 
 
 def scalar_laplacian(f, p) -> float | np.ndarray:
@@ -201,5 +201,5 @@ def scalar_laplacian(f, p) -> float | np.ndarray:
 
     ``f`` is a closed-form callable of (x, y, s, t) evaluable on jets.
     """
-    _, grad, hess = _jets(f, p)
-    return _per_point(_scalar_laplacian(geometry_at(p), grad, hess))
+    _, grad, hess = _jets(lambda *q: (f(*q),), p)  # one component
+    return _per_point(_scalar_laplacian(geometry_at(p), grad, hess)[..., 0])

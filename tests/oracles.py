@@ -1,8 +1,11 @@
-"""Finite-difference oracles and random inputs shared by the test modules.
+"""Finite-difference oracles, reference routes and random inputs shared by the test modules.
 
-Everything here deliberately avoids the jet pipeline: derivatives come
-from central differences on plain float evaluation, so agreement with
-the package is a two-route check, not a tautology.
+The oracles deliberately avoid the jet pipeline: derivatives come from
+central differences on plain float evaluation, so agreement with the
+package is a two-route check, not a tautology.  The reference routes at
+the end do use the jets: the full four-row geometry contraction and the
+frame-Hessian rough Laplacian are the second routes for the build's
+live-direction contractions and the product-rule Laplacian.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ import math
 
 import numpy as np
 
-from geoverify.chart import Point
+from geoverify.chart import Point, coframe_jets, coordinate_field, frame_jets
+from geoverify.curvature import geometry_at
+from geoverify.harmonic import CorollaryFamily, _rough_laplacian, corollary_field
+from geoverify.soliton import SolitonParams, soliton_field
 
 GRAD_STEP = 1e-4
 HESS_STEP = 1e-3
@@ -212,3 +218,49 @@ def tame_expression_at(rng: np.random.Generator, bound: float = 200.0):
         mags = (abs(jet.value), float(np.max(np.abs(jet.grad))), float(np.max(np.abs(jet.hess))))
         if math.isfinite(sum(mags)) and max(mags) <= bound:
             return expr, p, jet
+
+
+def four_row_geometry(P) -> dict:
+    """The geometry's arrays with every derivative index contracted over all four coordinates, zero rows included.
+
+    The reference for :func:`geoverify.curvature._build`, which contracts the live coordinates only: the same
+    formulas, from the chart's frame and coframe jets, written out here as they read before any row was dropped.
+    """
+    E, dE, d2E = frame_jets(P)
+    T, dT, _ = coframe_jets(P)
+    koszul = lambda c: 0.5 * (c - np.einsum("...ikj->...ijk", c) - np.einsum("...jki->...ijk", c))
+    D = np.einsum("...ia,...ajb->...ijb", E, dE)
+    dD = np.einsum("...mia,...ajb->...mijb", dE, dE) + np.einsum("...ia,...majb->...mijb", E, d2E)
+    B, dB = D - np.swapaxes(D, -3, -2), dD - np.swapaxes(dD, -3, -2)
+    c = np.einsum("...ijb,...kb->...ijk", B, T)
+    dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT)
+    fc, dfc = koszul(c), koszul(dc)
+    A = np.einsum("...ia,...ajkl->...ijkl", E, dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
+    tau = np.einsum("...iim->...m", fc)
+    return {
+        "E": E,
+        "dfc": dfc,
+        "fc": fc,
+        "Rfr": A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", c, fc),
+        "G": np.swapaxes(E, -1, -2) @ E,
+        "v": np.einsum("...iib->...b", D) - np.einsum("...m,...mb->...b", tau, E),
+        "C": 2 * np.einsum("...ia,...ikj->...akj", E, fc),
+        "M": np.einsum("...iikj->...kj", A) - np.einsum("...m,...mkj->...kj", tau, fc),
+    }
+
+
+def product_rule_fields(rng, batch=()):
+    """Coordinate-basis fields, with constants per point of the batch: the four corollary families, a soliton and an
+    (s, t)-quadratic field."""
+    c = rng.uniform(-3.0, 3.0, batch + (2,))
+    fields = [corollary_field(CorollaryFamily(k, *c.T)) for k in (1, 2, 3, 4)]
+    fields.append(soliton_field(SolitonParams(*rng.uniform(-3.0, 3.0, batch + (5,)).T)))
+    q = rng.uniform(-1.0, 1.0, (4, 6) + batch)
+    quadratic = lambda a: lambda x, y, s, t: a[0] + a[1] * s + a[2] * t + a[3] * s * s + a[4] * s * t + a[5] * t * t
+    return fields + [coordinate_field(*(quadratic(q[k]) for k in range(4)))]
+
+
+def frame_hessian_laplacian(X, P):
+    """The rough Laplacian by the frame route, on frame-component jets converted to second order."""
+    geo = geometry_at(P)
+    return _rough_laplacian(geo, *X.frame_component_jets(P, geo.coframe))

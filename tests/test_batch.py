@@ -51,8 +51,8 @@ def test_geometry_batch_matches_single_points(batch):
     geo = curvature.geometry_at(P)
     for name in ("E", "fc", "Rfr", "G", "v", "C", "M"):
         assert_batch_matches(getattr(geo, name), [getattr(curvature.geometry_at(p), name) for p in pts])
-    dfc = curvature._koszul(curvature._brackets(P)[4])  # d_m fc, which the build reads and does not keep
-    assert_batch_matches(dfc, [curvature._koszul(curvature._brackets(p)[4]) for p in pts])
+    dfc = curvature._koszul(curvature._brackets(P).dc)  # d_m fc in the live m, which the build reads and does not keep
+    assert_batch_matches(dfc, [curvature._koszul(curvature._brackets(p).dc) for p in pts])
     for k in range(3):  # the carried coframe jets
         assert_batch_matches(geo.coframe[k], [curvature.geometry_at(p).coframe[k] for p in pts])
     for fn in (
@@ -180,22 +180,24 @@ def test_domain_errors_name_the_first_bad_index():
 # -- checks ----------------------------------------------------------------
 
 
-def test_frame_jets_of_matches_each_field_and_evaluates_the_coframe_once(batch, monkeypatch):
+def test_frame_component_jets_convert_with_the_carried_coframe_bit_for_bit(batch, monkeypatch):
     _, P, _ = batch
     fields = [xy_field(), constant_frame_field([1.0, -2.0, 0.5, 3.0]), corollary_field(CorollaryFamily(3, 1.0, 0.5))]
-    singles = [X.frame_component_jets(P) for X in fields]
+    own = [X.frame_component_jets(P) for X in fields]
     carried = curvature.geometry_at(P).coframe
     calls = []
     coframe_jets = chart.coframe_jets
     monkeypatch.setattr(chart, "coframe_jets", lambda p: calls.append(np.shape(p)) or coframe_jets(p))
-    together = list(chart.frame_jets_of(fields, P))
-    assert calls == [P.shape]
-    # the coframe a geometry carries converts them too, with no coframe evaluation
-    given = list(chart.frame_jets_of(fields, P, carried)) + [X.frame_component_jets(P, carried) for X in fields]
-    assert calls == [P.shape]
-    for one, many in zip(singles * 3, together + given):
-        assert all(np.array_equal(a, b) for a, b in zip(one, many))  # the same conversion, bit for bit
-    list(chart.frame_jets_of(fields[1:2], P))
+    # the coframe a geometry carries converts them with no coframe evaluation, to either order
+    given = [X.frame_component_jets(P, carried) for X in fields]
+    first = [X.frame_component_jets(P, carried, order=1) for X in fields]
+    assert calls == []
+    for one, two, first_order in zip(own, given, first):
+        assert len(one) == len(two) == 3 and len(first_order) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(one, two))  # the same conversion, bit for bit
+        assert all(np.array_equal(a, b) for a, b in zip(one, first_order))
+    fields[1].frame_component_jets(P)
+    fields[0].frame_component_jets(P, order=1)
     assert calls == [P.shape]  # frame-basis fields need no coframe
 
 
@@ -204,8 +206,9 @@ def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
     builds, coframes, metrics, build_jets = [], [], [], []
     build, coframe_jets = curvature._build, chart.coframe_jets
     monkeypatch.setattr(curvature, "_build", lambda p: builds.append(np.shape(p)) or build(p))
-    for fn in ("metric_jets", "inverse_metric_jets", "frame_jets", "coframe_jets"):
-        monkeypatch.setattr(curvature, fn, lambda p, fn=fn, f=getattr(chart, fn): build_jets.append(fn) or f(p))
+    for fn in ("metric_jets", "inverse_metric_jets", "frame_jets"):
+        record = lambda p, fn=fn, f=getattr(chart, fn), **kw: build_jets.append((fn, kw)) or f(p, **kw)
+        monkeypatch.setattr(curvature, fn, record)
     monkeypatch.setattr(chart, "coframe_jets", lambda p: coframes.append(np.shape(p)) or coframe_jets(p))
     metric_jets = lambda p: metrics.append(np.shape(p)) or chart.metric_jets(p)
     monkeypatch.setattr(soliton, "metric_jets", metric_jets)
@@ -220,5 +223,5 @@ def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
     assert coframes == []
     # outside a geometry build, nongradient evaluates the metric once on its sampled rows and once on its grid
     assert sorted(int(np.prod(shape[:-1])) for shape in metrics) == ([50, 625] if name == "nongradient" else [])
-    # the build works in the frame: one frame and one coframe evaluation, no metric or inverse-metric jets
-    assert sorted(build_jets) == sorted(["coframe_jets", "frame_jets"] * len(builds))
+    # the build works in the frame: one evaluation of the frame and coframe together, no metric or inverse-metric jets
+    assert build_jets == [("frame_jets", {"coframe": True})] * len(builds)

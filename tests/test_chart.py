@@ -179,7 +179,7 @@ def test_jet_arrays_keep_their_shapes_with_the_batch_innermost_in_memory(batch):
     P = np.random.default_rng(22).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
     scalar = lambda x, y, s, t: s * sqrt(t) + x * y
     vector = lambda x, y, s, t: (t * s, 1.0, x / t, scalar(x, y, s, t))
-    for f, shape in ((scalar, ()), (vector, (4,)), (chart._frame, (4, 4)), (chart._metric, (4, 4))):
+    for f, shape in ((scalar, ()), (vector, (4,)), (chart._frames, (2, 4, 4)), (chart._metric, (4, 4))):
         arrays = chart._jets(f, P)
         assert [a.shape for a in arrays] == [batch + d + shape for d in ((), (4,), (4, 4))]
         for a in arrays:  # moving the batch axes last gives the memory order, so each entry's batch is contiguous

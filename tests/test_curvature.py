@@ -3,6 +3,9 @@ import pytest
 
 from geoverify.chart import FrameVector, Point, inverse_metric_at, inverse_metric_jets
 from geoverify.curvature import (
+    _brackets,
+    _build,
+    _koszul,
     christoffel_at,
     coercivity_check,
     frame_connection,
@@ -16,7 +19,7 @@ from geoverify.curvature import (
 from geoverify.jets import DomainError
 from geoverify.tables import CONNECTION_TABLE, CURVATURE_TABLE, RICCI_FRAME, full_curvature_tensor
 
-from oracles import fd_christoffel, inverse_metric_entries, rand_point
+from oracles import fd_christoffel, four_row_geometry, inverse_metric_entries, rand_point
 
 
 def test_christoffel_is_symmetric():
@@ -51,6 +54,32 @@ def test_laplacian_coefficients_match_the_metric_route():
     # v vanishes on F4, while its frame terms e4(E_4t) and tau_4 E_4t are each 4t: it must cancel to roundoff
     ref = -np.einsum("...ab,...cab->...c", inverse_metric_at(P), christoffel_at(P))
     assert np.max(np.abs(geo.v - ref)) < 1e-13
+
+
+GEOMETRY_ARRAYS = ("E", "fc", "Rfr", "G", "v", "C", "M")
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (300,), (1024,)])
+def test_live_direction_build_is_bit_identical_to_the_four_row_contraction(batch):
+    P = np.random.default_rng(17).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    geo, ref, brackets = _build(P), four_row_geometry(P), _brackets(P)
+    for name in GEOMETRY_ARRAYS:
+        assert np.array_equal(getattr(geo, name), ref[name]), name
+    # F4's frame and coframe depend on s and t alone: the x and y rows are the exact zeros the build leaves out
+    assert list(np.arange(4)[brackets.live]) == [2, 3]
+    dfc = ref["dfc"]
+    assert np.array_equal(_koszul(brackets.dc), dfc[..., 2:, :, :, :]) and not np.any(dfc[..., :2, :, :, :])
+
+
+@pytest.mark.parametrize("t, live", [(1e-320, [0, 1, 2, 3]), (1e-200, [0, 1, 2, 3]), (1e200, [2, 3])])
+def test_nan_and_inf_derivative_rows_count_as_live(t, live):
+    # where t under- or overflows the jets, x and y rows hold NaN or inf, and are contracted like any nonzero row
+    P = np.array([[0.5, -1.0, 1.5, t], [1.0, 1.0, -0.3, 2.0 * t]])
+    with np.errstate(all="ignore"):
+        geo, ref, brackets = _build(P), four_row_geometry(P), _brackets(P)
+    assert list(np.arange(4)[brackets.live]) == live
+    for name in GEOMETRY_ARRAYS:
+        assert np.array_equal(getattr(geo, name), ref[name], equal_nan=True), name
 
 
 def test_connection_table_examples():

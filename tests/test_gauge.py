@@ -4,11 +4,11 @@ In the chart's left-invariant frame the connection coefficients are
 constant, so ``dfc`` vanishes and no term that multiplies it (the
 e_i(fc) term of Cartan's structure equation, the connection-derivative
 term of the rough Laplacian) is ever exercised by the F4 checks.  Here the
-frame and coframe closed forms are replaced by R(p) times their tables,
-where R(p) rotates the (e1, e2) and (e3, e4) planes by point-dependent
-angles.  The metric is the same, ``fc`` varies, and every frame tensor
-must transform by R while scalars and vanishing residuals stay as they
-are.
+chart's one closed form for the frame and coframe is replaced by R(p)
+times its tables, where R(p) rotates the (e1, e2) and (e3, e4) planes by
+point-dependent angles.  The metric is the same, ``fc`` varies, and every
+frame tensor must transform by R while scalars and vanishing residuals
+stay as they are.
 
 Only batches are evaluated, so the single-point geometry cache never
 holds rotated geometry.
@@ -18,10 +18,13 @@ import numpy as np
 import pytest
 
 from geoverify import chart, curvature, harmonic, soliton
+from geoverify.chart import _frames
 from geoverify.harmonic import CorollaryFamily, corollary_field
 from geoverify.jets import reciprocal
 from geoverify.soliton import SolitonParams
 from geoverify.tables import RICCI_FRAME, SCALAR_CURVATURE, full_curvature_tensor
+
+from oracles import four_row_geometry, frame_hessian_laplacian, product_rule_fields
 
 N = 200
 TOL = 1e-11
@@ -39,23 +42,23 @@ def _rotation(x, y, s, t):
     return (a, -b, 0.0, 0.0), (b, a, 0.0, 0.0), (0.0, 0.0, c, -d), (0.0, 0.0, d, c)
 
 
-def _rotated(table):
-    """The closed form R(p) @ table(p): rows are the rotated frame (or coframe) elements."""
+def _rotated(frames):
+    """The closed form R(p) @ grid(p) for the frame and the coframe grids: rows are the rotated elements."""
 
     def rotated(x, y, s, t):
-        R, M = _rotation(x, y, s, t), table(x, y, s, t)
-        return tuple(tuple(sum(R[i][k] * M[k][a] for k in range(4)) for a in range(4)) for i in range(4))
+        R = _rotation(x, y, s, t)
+        rotate = lambda M: tuple(tuple(sum(R[i][k] * M[k][a] for k in range(4)) for a in range(4)) for i in range(4))
+        return tuple(map(rotate, frames(x, y, s, t)))
 
     return rotated
 
 
 @pytest.fixture
 def rotated(monkeypatch):
-    """Sampled points P and R(P), with the chart's frame and coframe rotated by R."""
+    """Sampled points P and R(P), with the chart's shared frame and coframe closed form rotated by R."""
     P = np.random.default_rng(801).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (N, 4))
     R = chart._jets(_rotation, P)[0]
-    monkeypatch.setattr(chart, "_frame", _rotated(chart._frame))
-    monkeypatch.setattr(chart, "_coframe", _rotated(chart._coframe))
+    monkeypatch.setattr(chart, "_frames", _rotated(chart._frames))
     return P, R
 
 
@@ -64,7 +67,15 @@ def test_rotated_frame_is_orthonormal_with_varying_connection(rotated):
     E, T = chart.frame_jets(P)[0], chart.coframe_jets(P)[0]
     assert np.max(np.abs(T @ np.swapaxes(E, -1, -2) - np.eye(4))) < TOL
     assert np.max(np.abs(np.swapaxes(E, -1, -2) @ E - chart.inverse_metric_jets(P)[0])) < TOL
-    assert np.max(np.abs(curvature._koszul(curvature._brackets(P)[4]))) > 1.0  # dfc, which the build reads
+    # the build reads the rotated frame, not the chart's: its E is R times the unrotated rows
+    unrotated = chart._jets(lambda *q: _frames(*q)[0], P)[0]
+    assert np.max(np.abs(E - R @ unrotated)) < TOL and np.max(np.abs(E - unrotated)) > 0.1
+    assert np.array_equal(curvature.geometry_at(P).E, E)
+    fc = curvature.frame_connection(P)
+    assert np.max(np.ptp(fc, axis=0)) > 1.0  # the connection varies over the points
+    # R depends on x, s and t, so the build contracts those derivative rows, which are not consecutive
+    assert list(np.arange(4)[curvature._brackets(P).live]) == [0, 2, 3]
+    assert np.max(np.abs(curvature._koszul(curvature._brackets(P).dc))) > 1.0  # dfc, which the build reads
 
 
 def test_curvature_transforms_as_a_tensor(rotated):
@@ -98,3 +109,16 @@ def test_rough_laplacian_still_vanishes(rotated, index):
     c = np.random.default_rng(803).uniform(-3.0, 3.0, (N, 2))
     X = corollary_field(CorollaryFamily(index, *c.T))
     assert np.max(np.abs(harmonic.rough_laplacian(X, P))) < TOL
+
+
+def test_live_direction_build_matches_the_four_row_contraction(rotated):
+    P, _ = rotated
+    geo, ref = curvature.geometry_at(P), four_row_geometry(P)
+    for name in ("E", "fc", "Rfr", "G", "v", "C", "M"):
+        assert np.max(np.abs(getattr(geo, name) - ref[name])) < 1e-13, name
+
+
+def test_product_rule_laplacian_matches_the_frame_hessian_route(rotated):
+    P, _ = rotated
+    for X in product_rule_fields(np.random.default_rng(804), (N,)):
+        assert np.max(np.abs(harmonic.rough_laplacian(X, P) - frame_hessian_laplacian(X, P))) < 1e-12

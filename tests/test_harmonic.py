@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoverify import chart, checks, harmonic, soliton
 from geoverify.chart import Point, constant_frame_field, coordinate_field, frame_field
 from geoverify.harmonic import (
     EXPONENT_MINUS,
@@ -16,7 +17,7 @@ from geoverify.harmonic import (
     rough_laplacian,
 )
 
-from oracles import rand_point
+from oracles import frame_hessian_laplacian, product_rule_fields, rand_point
 
 
 def random_st_polynomial_field(rng):
@@ -220,3 +221,30 @@ def test_residual_wrappers_match_and_evaluate_the_field_once(monkeypatch):
         calls.clear()
         residual(fields[0], pts[0])
         assert len(calls) == 1, residual.__name__
+
+
+def test_product_rule_laplacian_matches_the_frame_hessian_route():
+    rng = np.random.default_rng(52)
+    P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (200, 4))
+    for X in product_rule_fields(rng, (len(P),)):
+        assert np.max(np.abs(rough_laplacian(X, P) - frame_hessian_laplacian(X, P))) < 1e-12
+    # and one point at a time, through the single-point geometry
+    X = product_rule_fields(rng)[-1]
+    assert np.max(np.abs(rough_laplacian(X, P[0]) - frame_hessian_laplacian(X, P[0]))) < 1e-12
+
+
+def test_primary_routes_form_no_frame_component_hessian(monkeypatch):
+    orders = []
+    apply = chart._apply
+    counted = lambda A, x: orders.append(len(x) - 1) or apply(A, x)
+    monkeypatch.setattr(chart, "_apply", counted)
+    monkeypatch.setattr(harmonic, "_apply", counted)
+    X = product_rule_fields(np.random.default_rng(53))[-1]
+    p = Point(0.3, -1.2, 0.7, 1.4)
+    checks.run_suite("corollary", checks.RunConfig(points=20))
+    checks.run_suite("harmonic-map-witnesses", checks.RunConfig(points=20))
+    harmonic_map_residual(X, p)
+    soliton.soliton_residual(soliton.soliton_field(soliton.SolitonParams(1.0, 2.0)), -6.0, p)
+    assert 2 not in orders and 1 in orders  # first-order conversions only
+    harmonic_section_equations(X, p)  # a cross-check route keeps the full conversion, which the count sees
+    assert orders[-1] == 2

@@ -171,8 +171,9 @@ def test_longdouble_points_give_longdouble_jets(batch):
     P = np.random.default_rng(11).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
     exact, rounded = point_jets(P.astype(np.longdouble)), point_jets(P)
     assert point_jets(np.arange(1, 5))[0].J.dtype == point_jets((1, 2, 3, 4))[3].J.dtype == np.float64  # the default
-    for table in (chart._frame, chart._coframe, chart._metric, chart._inverse_metric):
-        for a, b in zip(*([e for row in table(*q) for e in row if isinstance(e, Jet2)] for q in (exact, rounded))):
+    entries = lambda grid: [e for row in grid for e in row if isinstance(e, Jet2)]
+    for tables in (chart._frames, lambda *q: (chart._metric(*q), chart._inverse_metric(*q))):
+        for a, b in zip(*([e for grid in tables(*q) for e in entries(grid)] for q in (exact, rounded))):
             assert a.J.dtype == a.value.dtype == a.grad.dtype == a.hess.dtype == np.longdouble
             assert b.J.dtype == np.float64
             assert np.max(np.abs(a.J - b.J)) <= 1e-15 * np.max(np.abs(b.J))
