@@ -7,6 +7,8 @@ published integer tables and closed-form families at machine precision
 over sampled points.
 """
 
+import ctypes
+
 from .chart import (
     AnalyticVectorField,
     CoordVector,
@@ -16,7 +18,6 @@ from .chart import (
     constant_coordinate_field,
     constant_frame_field,
     coordinate_field,
-    coframe_at,
     coframe_matrix,
     frame_at,
     frame_field,
@@ -54,12 +55,10 @@ from .harmonic import (
 from .jets import DomainError, Jet2, constant, point_jets, reciprocal, seed, sqrt
 from .soliton import (
     COMPONENT_PAIRS,
-    OneFormValue,
     SOLITON_LAMBDA,
     SolitonParams,
     beta_matrix,
     closedness_defect,
-    dual_one_form,
     lie_derivative_metric,
     scalar_laplacian,
     soliton_field,
@@ -69,3 +68,15 @@ from .soliton import (
 )
 
 __version__ = "0.1.0"
+
+
+def _tune_malloc(libc=None) -> bool:
+    """Fix glibc's mmap and trim thresholds (see ``curvature.Geometry``); False where mallopt is missing or inert."""
+    try:
+        mallopt = (ctypes.CDLL(None) if libc is None else libc).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 128 << 20) == 1  # M_MMAP_THRESHOLD (64-bit max), M_TRIM_THRESHOLD
+
+
+_tune_malloc()

@@ -33,6 +33,7 @@ explicit conversion at a point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -42,14 +43,14 @@ from .jets import _GRAD, _HESS, NSLOTS, NVARS, DomainError, Jet2, _axes, _lift, 
 
 __all__ = [
     "Point", "as_point", "CoordVector", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field",
-    "constant_coordinate_field", "constant_frame_field", "metric_at", "inverse_metric_at", "frame_at", "coframe_at",
-    "to_frame", "to_coord",
+    "constant_coordinate_field", "constant_frame_field", "metric_at", "inverse_metric_at", "frame_at", "to_frame",
+    "to_coord",
 ]
 
 
 @dataclass(frozen=True)
 class Point:
-    """A chart point; construction enforces the domain condition t > 0."""
+    """A chart point; construction enforces the domain conditions: finite coordinates and t > 0."""
 
     x: float
     y: float
@@ -59,8 +60,8 @@ class Point:
     def __post_init__(self):
         for name in ("x", "y", "s", "t"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.t > 0.0:
-            raise DomainError(f"chart requires t > 0, got t = {self.t}")
+        if not (all(map(math.isfinite, self.astuple())) and self.t > 0.0):
+            raise DomainError(f"chart requires finite coordinates and t > 0, got {self}")
 
     def __getitem__(self, k: int) -> float:
         return (self.x, self.y, self.s, self.t)[k]
@@ -70,10 +71,8 @@ class Point:
 
 
 def as_point(p) -> Point:
-    """Coerce a Point or a length-4 sequence to a Point (validates t > 0)."""
-    if isinstance(p, Point):
-        return p
-    return Point(float(p[0]), float(p[1]), float(p[2]), float(p[3]))
+    """Coerce a Point or a length-4 sequence to a Point (validates the domain)."""
+    return p if isinstance(p, Point) else Point(p[0], p[1], p[2], p[3])
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,10 @@ _JetArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # (val, grad, hess): bat
 
 
 def _as_points(p) -> np.ndarray:
-    """A Point or a (..., 4) array-like of points as a float array, requiring t > 0 at every point."""
+    """A Point or a (..., 4) array-like of points as a float array; a domain error names the first bad row."""
     P = np.array(p.astuple()) if isinstance(p, Point) else np.asarray(p, dtype=float)
-    _require(P[..., 3] > 0.0, "chart requires t > 0")
+    ok = P[..., 3] > 0.0  # finiteness row by row is a slow reduction over length-4 rows: only where some entry fails
+    _require(ok if np.isfinite(P).all() else ok & np.isfinite(P).all(-1), "chart requires finite coordinates and t > 0")
     return P
 
 
@@ -222,12 +222,6 @@ def frame_at(p) -> tuple[CoordVector, CoordVector, CoordVector, CoordVector]:
     """The four frame vectors e1..e4 as coordinate vectors at p."""
     E = frame_matrix(p)
     return tuple(CoordVector(E[i]) for i in range(4))
-
-
-def coframe_at(p) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four coframe covectors th1..th4 (components against dx, dy, ds, dt)."""
-    T = coframe_matrix(p)
-    return tuple(T[i].copy() for i in range(4))
 
 
 def to_frame(v: CoordVector, p) -> FrameVector:

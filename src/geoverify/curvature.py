@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class Geometry:
         E[..., i,a]            frame e_{i+1} components against d/dx_a
         coframe                jets (T, dT, d2T) of the coframe rows th_{k+1}, for converting coordinate fields
         fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k)
-        Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l)
+        Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l), formed from fc, c and dfc on first read and then kept, since
+                               only the curvature claims read its 256 entries per point
 
     and the Laplacians' coefficients: Lap f = G_ab d_a d_b f + v_b d_b f, (Lap X)_j = Lap X_j + C_akj d_a X_k + M_kj X_k
     on the jets of a scalar f and of a field's frame components X_k,
@@ -62,16 +63,30 @@ class Geometry:
         v[..., b]              sum_i e_i(E_ib) - tau_m E_mb, where sum_i nabla_{e_i} e_i = tau_m e_m = sum_i fc_iim e_m
         C[..., a,k,j]          2 sum_i E_ia fc_ikj
         M[..., k,j]            (Lap e_k)_j = sum_i [e_i(fc_ikj) + fc_ikm fc_imj] - tau_m fc_mkj
+
+    A build of up to 1024 rows frees a few MB.  glibc's dynamic trim threshold handed about 4.7 MB of it back to the OS
+    per block, and the next block faulted it in again (1100 of the 1195 minor faults of a warm 300-point ``corollary``
+    run), so importing geoverify fixes glibc's mmap and trim thresholds at 32 and 128 MiB; off glibc nothing changes.
     """
 
     E: np.ndarray
     coframe: tuple[np.ndarray, np.ndarray, np.ndarray]
     fc: np.ndarray
-    Rfr: np.ndarray
     G: np.ndarray
     v: np.ndarray
     C: np.ndarray
     M: np.ndarray
+    _c: np.ndarray  # c[..., i,j,k] = th_k([e_i, e_j])
+    _dfc: np.ndarray  # dfc[..., m,i,j,k] = d_m fc_ijk for the live coordinates m
+    _live: slice | np.ndarray
+
+    @cached_property
+    def Rfr(self) -> np.ndarray:
+        # Cartan: Rfr_ijkl = e_i(fc_jkl) - e_j(fc_ikl) + fc_jkm fc_iml - fc_ikm fc_jml - c_ijm fc_mkl, where
+        # A[i,j,k,l] = e_i(fc_jkl) + fc_jkm fc_iml = g(nabla_{e_i} nabla_{e_j} e_k, e_l) and [e_i, e_j] = c_ijm e_m
+        fc, EL = self.fc, self.E[..., self._live]
+        A = np.einsum("...ia,...ajkl->...ijkl", EL, self._dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
+        return A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", self._c, fc)
 
 
 _Brackets = namedtuple("_Brackets", "E eE coframe c dc live")
@@ -104,15 +119,12 @@ def _koszul(c):
 def _build(p) -> Geometry:
     E, eE, coframe, c, dc, live = _brackets(p)  # a stage of its own: second derivatives are freed before the curvature
     fc, dfc = _koszul(c), _koszul(dc)
-    # Cartan: Rfr_ijkl = e_i(fc_jkl) - e_j(fc_ikl) + fc_jkm fc_iml - fc_ikm fc_jml - c_ijm fc_mkl, where
-    # A[i,j,k,l] = e_i(fc_jkl) + fc_jkm fc_iml = g(nabla_{e_i} nabla_{e_j} e_k, e_l) and [e_i, e_j] = c_ijm e_m
-    A = np.einsum("...ia,...ajkl->...ijkl", E[..., live], dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
-    Rfr = A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", c, fc)
     tau = np.einsum("...iim->...m", fc)
     v, C = eE - np.einsum("...m,...mb->...b", tau, E), 2 * np.einsum("...ia,...ikj->...akj", E, fc)
-    M = np.einsum("...iikj->...kj", A) - np.einsum("...m,...mkj->...kj", tau, fc)
+    M = np.einsum("...ia,...aikj->...kj", E[..., live], dfc) + np.einsum("...ikm,...imj->...kj", fc, fc)
+    M -= np.einsum("...m,...mkj->...kj", tau, fc)
     G = np.asfortranarray(np.swapaxes(E, -1, -2) @ E)  # the batch innermost in memory, as in every other array
-    return Geometry(E, coframe, fc, Rfr, G, v, C, M)
+    return Geometry(E, coframe, fc, G, v, C, M, c, dfc, live)
 
 
 # single points only: a replay asks for one point's geometry several times; a check's batch is built once

@@ -34,8 +34,6 @@ __all__ = [
     "lie_derivative_metric",
     "soliton_residual",
     "soliton_system",
-    "OneFormValue",
-    "dual_one_form",
     "closedness_defect",
     "COMPONENT_PAIRS",
     "scalar_laplacian",
@@ -148,16 +146,6 @@ def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-@dataclass(frozen=True)
-class OneFormValue:
-    """One-form components against (dx, dy, ds, dt)."""
-
-    comp: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "comp", np.asarray(self.comp, dtype=float))
-
-
 # coordinate index pairs (a, b) for the six components of a two-form,
 # ordered (xy, xs, xt, ys, yt, st)
 COMPONENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -169,11 +157,6 @@ def _dual_one_form_jets(metric, xi: AnalyticVectorField, p):
     v, dv, _ = xi.coordinate_component_jets(p)
     w = np.einsum("...ba,...a->...b", g, v)
     return w, np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)
-
-
-def dual_one_form(xi: AnalyticVectorField, p) -> OneFormValue:
-    """The metric dual g(xi, .) in coordinate components."""
-    return OneFormValue(_dual_one_form_jets(metric_jets(p), xi, p)[0])
 
 
 def _closedness_defect(metric, xi: AnalyticVectorField, p) -> np.ndarray:

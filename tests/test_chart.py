@@ -22,6 +22,7 @@ from geoverify.chart import (
     to_coord,
     to_frame,
 )
+from geoverify.curvature import geometry_at
 from geoverify.jets import DomainError, point_jets, sqrt
 
 from oracles import (
@@ -118,6 +119,24 @@ def test_domain_validation():
         as_point((0.0, 0.0, 0.0, -2.0))
     with pytest.raises(DomainError):
         metric_at((1.0, 1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("slot", [0, 3])
+def test_non_finite_coordinates_are_outside_the_domain(bad, slot):
+    q = [0.5, 1.0, 0.3, 1.0]
+    q[slot] = bad
+    for make in (lambda: Point(*q), lambda: as_point(q), lambda: metric_at(q)):
+        with pytest.raises(DomainError):
+            make()
+    # a batch names its first bad row, whether that row breaks finiteness or t > 0
+    P = np.tile([0.5, 1.0, 0.3, 1.0], (5, 1))
+    P[2], P[4, 3] = q, -1.0
+    for batch, first in ((P, 2), (P[::-1], 0), (P.reshape(5, 1, 4), 2)):
+        for evaluate in (metric_at, frame_matrix, geometry_at):
+            with pytest.raises(DomainError) as exc:
+                evaluate(batch)
+            assert exc.value.index == first
 
 
 def test_field_basis_tag_is_validated():

@@ -348,3 +348,14 @@ def test_claims_at_every_blocks_own_rows_share_the_checks_points(monkeypatch):
     _, claims = checks._check_harmonic_map_witnesses(cfg, P)
     np.testing.assert_array_equal(claims[0].points, P[:10])
     assert all(c.points is P for c in claims[1:])
+
+
+def test_only_the_curvature_claims_build_the_curvature_tensor(monkeypatch):
+    from geoverify import curvature
+
+    built, build = [], curvature._build
+    monkeypatch.setattr(curvature, "_build", lambda p: built.append(build(p)) or built[-1])
+    for name, reads in (("corollary", False), ("theorem3", False), ("lemma2", True)):
+        built.clear()
+        assert run_suite(name, RunConfig(points=20)).passed
+        assert built and all(("Rfr" in vars(geo)) is reads for geo in built), name
