@@ -22,8 +22,8 @@ such as sqrt(t) or 1/t, once and return 4x4 grids; the frame and coframe
 share one.  So the same definitions serve values, gradients and Hessians,
 at one point or at a (..., 4) batch of points in one numpy evaluation.
 ``_jets`` evaluates any such closed form, one returning a jet or constant
-or nested 4-tuples of them, into ``(val, grad, hess)`` arrays, the only
-jet format that leaves this module.
+or nested 4-tuples of them, into ``(val, grad, hess)`` arrays, or ``(val,
+grad)`` at order 1, the only jet format that leaves this module.
 
 Vector quantities carry their basis explicitly: :class:`FrameVector`
 components are against (e1..e4), :class:`CoordVector` components against
@@ -39,7 +39,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .jets import _GRAD, _HESS, NSLOTS, NVARS, DomainError, Jet2, _axes, _lift, _require, point_jets, reciprocal, sqrt
+from .jets import _GRAD, _HESS, _SLOTS, NVARS, DomainError, Jet2, _axes, _lift, _require, point_jets, reciprocal, sqrt
 
 __all__ = [
     "Point", "as_point", "CoordVector", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field",
@@ -94,9 +94,9 @@ class FrameVector:
     def __post_init__(self):
         object.__setattr__(self, "comp", np.asarray(self.comp, dtype=float))
 
-    def norm_squared(self) -> float:
-        # the frame is orthonormal, so |v|_g^2 is the Euclidean square
-        return float(self.comp @ self.comp)
+    def norm_squared(self) -> float | np.ndarray:
+        # the frame is orthonormal, so |v|_g^2 is the Euclidean square, per point of a batch of vectors
+        return _per_point(np.einsum("...i,...i->...", self.comp, self.comp))
 
 
 Component = Callable[..., object]  # (x, y, s, t) -> float | per-point ndarray | Jet2
@@ -139,27 +139,27 @@ def _as_points(p) -> np.ndarray:
     return P
 
 
-def _jets(f: Callable, p) -> _JetArrays:
-    """Evaluate the closed form ``f`` at a point or a (..., 4) batch p, in one call.
+def _jets(f: Callable, p, order: int = 2) -> _JetArrays:
+    """Evaluate the closed form ``f`` at a point or a (..., 4) batch p, in one call, to ``order`` 1 or 2.
 
     ``f(x, y, s, t)`` returns a jet or constant, or nested tuples of them, such as a 4x4 grid.  Returns
-    ``val[..., e]``, ``grad[..., m, e] = d_m entry`` and ``hess[..., m, n, e] = d_m d_n entry``.
+    ``val[..., e]``, ``grad[..., m, e] = d_m entry`` and, at order 2, ``hess[..., m, n, e] = d_m d_n entry``.
     """
     P = _as_points(p)
-    entries, shape = [f(*point_jets(P))], ()
+    entries, shape = [f(*point_jets(P, order))], ()
     while isinstance(entries[0], tuple):
         shape += (len(entries[0]),)
         entries = [e for row in entries for e in row]
     batch = P.shape[:-1]
     # one buffer with the batch axes innermost, viewed batch-first: einsum keeps that memory layout for its
     # results (order="K"), so every contraction downstream loops over the batch, not over length-4 axes
-    B = np.zeros((NSLOTS, len(entries)) + batch, P.dtype)
+    B = np.zeros((_SLOTS[order], len(entries)) + batch, P.dtype)
     for k, jet in enumerate(entries):
         if isinstance(jet, Jet2):
             B[:, k] = _lift(jet.J, batch)
         else:
             B[0, k] = jet
-    parts = (B[0], shape), (B[_GRAD], (NVARS,) + shape), (B[_HESS], (NVARS, NVARS) + shape)
+    parts = ((B[0], shape), (B[_GRAD], (NVARS,) + shape), (B[_HESS], (NVARS, NVARS) + shape))[: order + 1]
     return tuple(A.reshape(d + batch).transpose(_axes(len(d), len(d + batch))) for A, d in parts)
 
 
@@ -200,8 +200,8 @@ def coframe_matrix(p) -> np.ndarray:
     return coframe_jets(p)[0]
 
 
-def metric_jets(p) -> _JetArrays:
-    return _jets(_metric, p)
+def metric_jets(p, order: int = 2) -> _JetArrays:
+    return _jets(_metric, p, order)
 
 
 def inverse_metric_jets(p) -> _JetArrays:
@@ -253,19 +253,19 @@ class AnalyticVectorField:
         if len(self.components) != 4:
             raise ValueError("a vector field needs exactly 4 components")
 
-    def component_jets(self, p) -> _JetArrays:
-        """Jets ``(val[..., k], grad[..., a, k], hess[..., a, b, k])`` of the components in the field's own basis."""
-        return _jets(lambda *q: tuple(f(*q) for f in self.components), p)
+    def component_jets(self, p, order: int = 2) -> _JetArrays:
+        """Jets ``(val[..., k], grad[..., a, k], hess[..., a, b, k])``, or ``(val, grad)`` at ``order`` 1, own basis."""
+        return _jets(lambda *q: tuple(f(*q) for f in self.components), p, order)
 
     def frame_component_jets(self, p, coframe: _JetArrays | None = None, order: int = 2) -> tuple:
         """Jets of the frame components th_j(X) at p to ``order`` 1 or 2 (converting if needed, with the coframe jets
         at p if given): (val, grad) or (val, grad, hess)."""
-        own = self.component_jets(p)[: order + 1]
+        own = self.component_jets(p, order)
         return own if self.basis == "frame" else _apply(coframe or coframe_jets(p), own)
 
-    def coordinate_component_jets(self, p) -> _JetArrays:
-        """Jets of the coordinate components at p (converting if needed): sum_j X_j e_j."""
-        own = self.component_jets(p)
+    def coordinate_component_jets(self, p, order: int = 2) -> _JetArrays:
+        """Jets of the coordinate components at p to ``order`` 1 or 2 (converting if needed): sum_j X_j e_j."""
+        own = self.component_jets(p, order)
         if self.basis == "coordinate":
             return own
         return _apply(tuple(np.swapaxes(E, -1, -2) for E in frame_jets(p)), own)

@@ -92,6 +92,8 @@ class RunConfig:
     output: Optional[str] = None  # path for reports; None means stdout
 
     def validate(self):
+        if not 0 <= self.seed < 2**32:  # the Philox key holds 32 bits of seed: a wider one would repeat a stream
+            raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.points < 1:
             raise ConfigError(f"points must be >= 1, got {self.points}")
         if not 0.0 < self.tol < math.inf:
@@ -182,7 +184,7 @@ def _chunked(P: np.ndarray, block: Callable) -> list[_Claim]:
 
 def _stream(cfg: RunConfig, name: str) -> np.random.Generator:
     """The counter-based stream of ``name`` at the run's seed."""
-    return np.random.Generator(np.random.Philox(key=[cfg.seed & 0xFFFFFFFF, zlib.crc32(name.encode())]))
+    return np.random.Generator(np.random.Philox(key=[cfg.seed, zlib.crc32(name.encode())]))
 
 
 def _sample_points(cfg: RunConfig, name: str) -> np.ndarray:
@@ -247,18 +249,19 @@ def _check_nongradient(cfg: RunConfig, P: np.ndarray):
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
     basis = [SolitonParams()] + [SolitonParams(**{f"c{k}": 1.0}) for k in range(1, 6)]
     try:
-        metric = metric_jets(grid)  # once for all six basis fields
-        defect0, *ddefect = [soliton._closedness_defect(metric, soliton.soliton_field(c), grid) for c in basis]
+        metric = metric_jets(grid, order=1)  # once for all six basis fields
+        # component-major, [component, point]: every reduction below runs over the long point axis
+        defect0, *ddefect = [soliton._closedness_defect(metric, soliton.soliton_field(c), grid).T for c in basis]
     except DomainError as exc:  # a grid point left the domain: fail there
         return len(P) + len(grid), claims + [_zero([math.nan], [grid[exc.index]])]
-    ddefect = np.array(ddefect) - defect0  # [k, point, component]
+    ddefect = np.array(ddefect) - defect0  # [k, component, point]
     # the first 20 members drawn from the stream with max|c1, c2, c3| >= 0.1
     stream, c = _stream(cfg, "nongradient/params"), np.empty((0, 5))
     while len(c) < 20:
         draw = stream.uniform(-3.0, 3.0, (20, 5))
         c = np.concatenate([c, draw[np.max(np.abs(draw[:, :3]), axis=1) >= 0.1]])
-    d = defect0 + np.tensordot(c[:20], ddefect, axes=1)  # [member, point, component]
-    return len(P) + len(grid), claims + [_exceeds(r, grid) for r in np.max(np.abs(d), axis=-1)]
+    d = defect0 + np.tensordot(c[:20], ddefect, axes=1)  # [member, component, point]
+    return len(P) + len(grid), claims + [_exceeds(r, grid) for r in np.max(np.abs(d), axis=1)]
 
 
 def _check_harmonic_components(cfg: RunConfig, P: np.ndarray):

@@ -144,7 +144,8 @@ def _ricci(Rfr: np.ndarray) -> np.ndarray:
 
 def _nabla(geo: Geometry, val, grad) -> np.ndarray:
     """A[..., i, j] = g(nabla_{e_i} X, e_j) from the frame-component jets val[..., k], grad[..., a, k] of X."""
-    return geo.E @ grad + np.einsum("...k,...ikj->...ij", val, geo.fc)
+    # an einsum, not E @ grad: a matmul puts the batch outermost, which slows every sum over its result
+    return np.einsum("...ia,...ak->...ik", geo.E, grad) + np.einsum("...k,...ikj->...ij", val, geo.fc)
 
 
 def _christoffel(p):

@@ -140,7 +140,7 @@ def _field_data(X: AnalyticVectorField, p, geo=None, basis=None):
 
 def _require_st_only(grad: np.ndarray):
     worst = float(np.max(np.abs(grad[..., 0:2, :])))
-    if worst > _ST_TOL:
+    if not worst <= _ST_TOL:  # a NaN gradient fails too
         raise NotSTOnly(f"field components depend on x or y (gradient {worst:.3e})")
 
 

@@ -11,8 +11,11 @@ any batch size.  ``value``, ``grad`` and ``hess`` are batch-first views of
 shapes ``S``, ``S + (4,)`` and ``S + (4, 4)``.  Propagating jets through
 the arithmetic operators gives first and second partial derivatives that
 are exact up to roundoff, which is what every curvature and residual
-computation in this package is built on.  Jets are capped at order 2:
-nothing in the geometry of the model space needs a third derivative.
+computation in this package is built on.  Jets have order 2, or 1 where
+no Hessian is read: a first-order ``J`` of shape ``(5,) + S`` equals the
+2-jet's first five slots bit for bit, since its products and chain rules
+skip the Hessian terms (truncated Taylor propagation: Griewank & Walther,
+*Evaluating Derivatives*, 2008, ch. 13).  No third derivative is needed.
 
 Expressions are ordinary Python callables written with ``+ - * / **``
 and :func:`sqrt`; evaluated on floats they return floats, evaluated on
@@ -30,6 +33,7 @@ import numpy as np
 
 NVARS = 4
 NSLOTS = 1 + NVARS + NVARS * NVARS  # value, gradient, row-major Hessian
+_SLOTS = {1: 1 + NVARS, 2: NSLOTS}  # packed slots of a jet of each order
 _GRAD, _HESS, _SQUARE = slice(1, 1 + NVARS), slice(1 + NVARS, NSLOTS), (NVARS, NVARS)
 
 __all__ = ["DomainError", "Jet2", "seed", "constant", "point_jets", "sqrt", "reciprocal"]
@@ -53,8 +57,8 @@ def _require(ok, what: str):
 class Jet2:
     """Value, gradient and Hessian of a scalar at a chart point or a batch of points, packed in ``J``.
 
-    The Hessian is stored in full but every operation builds it from
-    symmetric pieces, so ``hess == swapaxes(hess, -1, -2)`` holds bit for bit.
+    The Hessian is stored in full but every operation builds it from symmetric pieces, so
+    ``hess == swapaxes(hess, -1, -2)`` holds bit for bit.  A first-order jet (``len(J) == 5``) has none.
     """
 
     __slots__ = ("J",)
@@ -94,9 +98,10 @@ class Jet2:
         u, v = X[0], Y[0]
         J = X * v + Y * u
         J[0] = u * v
-        cross = X[_GRAD, None] * Y[None, _GRAD]
-        H = J[_HESS]
-        H += (cross + cross.swapaxes(0, 1)).reshape(H.shape)  # symmetrized: exact Hessian symmetry
+        if len(J) == NSLOTS:
+            cross = X[_GRAD, None] * Y[None, _GRAD]
+            H = J[_HESS]
+            H += (cross + cross.swapaxes(0, 1)).reshape(H.shape)  # symmetrized: exact Hessian symmetry
         return Jet2(J)
 
     __rmul__ = __mul__
@@ -166,8 +171,9 @@ def _compose(f: Jet2, h0, h1, h2) -> Jet2:
     g = f.J[_GRAD]
     J = f.J * h1
     J[0] = h0
-    H = J[_HESS]
-    H += (h2 * (g[:, None] * g[None, :])).reshape(H.shape)  # the outer product is exactly symmetric
+    if len(J) == NSLOTS:
+        H = J[_HESS]
+        H += (h2 * (g[:, None] * g[None, :])).reshape(H.shape)  # the outer product is exactly symmetric
     return Jet2(J)
 
 
@@ -186,10 +192,10 @@ def constant(c) -> Jet2:
     return Jet2(J)
 
 
-def point_jets(p) -> tuple[Jet2, Jet2, Jet2, Jet2]:
-    """The four coordinate jets (x, y, s, t) seeded at a point or a (..., 4) batch p, in p's floating dtype."""
+def point_jets(p, order: int = 2) -> tuple[Jet2, Jet2, Jet2, Jet2]:
+    """The coordinate jets (x, y, s, t) of ``order`` 1 or 2 at a point or a (..., 4) batch p, in p's floating dtype."""
     P = p if isinstance(p, np.ndarray) else np.asarray([p[i] for i in range(NVARS)])
-    J = np.zeros((NVARS, NSLOTS) + P.shape[:-1], np.result_type(P, 0.0))
+    J = np.zeros((NVARS, _SLOTS[order]) + P.shape[:-1], np.result_type(P, 0.0))
     for k in range(NVARS):
         J[k, 0], J[k, 1 + k] = P[..., k], 1.0
     return tuple(map(Jet2, J))

@@ -152,9 +152,9 @@ COMPONENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _dual_one_form_jets(metric, xi: AnalyticVectorField, p):
-    """Value w[..., b] and gradient dw[..., m, b] of the metric dual w_b = g_ba xi^a, given the metric jets at p."""
-    g, dg, _ = metric
-    v, dv, _ = xi.coordinate_component_jets(p)
+    """Value w[..., b] and gradient dw[..., m, b] of the metric dual w_b = g_ba xi^a, given metric jets of any order."""
+    g, dg = metric[:2]
+    v, dv = xi.coordinate_component_jets(p, order=1)
     w = np.einsum("...ba,...a->...b", g, v)
     return w, np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)
 
@@ -171,7 +171,7 @@ def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
     All six vanish on an open set iff xi is locally a gradient there;
     ordering follows :data:`COMPONENT_PAIRS`.
     """
-    return _closedness_defect(metric_jets(p), xi, p)
+    return _closedness_defect(metric_jets(p, order=1), xi, p)
 
 
 def _scalar_laplacian(geo, grad, hess) -> np.ndarray:

@@ -201,6 +201,18 @@ def test_frame_component_jets_convert_with_the_carried_coframe_bit_for_bit(batch
     assert calls == [P.shape]  # frame-basis fields need no coframe
 
 
+@pytest.mark.parametrize("name", ["nongradient", "theorem1"])
+def test_first_order_checks_never_request_a_hessian(name, monkeypatch):
+    calls, jets_of = [], chart._jets
+    record = lambda f, p, order=2: calls.append((f, order)) or jets_of(f, p, order)
+    for module in (chart, soliton):
+        monkeypatch.setattr(module, "_jets", record)
+    assert run_suite(name, RunConfig(points=50)).passed
+    # the metric and the fields are first-order jets; only theorem1's geometry build differentiates twice, the frame
+    assert [f for f, order in calls if order != 1] == ([] if name == "nongradient" else [chart._frames])
+    assert len(calls) > 1
+
+
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
     builds, coframes, metrics, build_jets = [], [], [], []
@@ -210,7 +222,7 @@ def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
         record = lambda p, fn=fn, f=getattr(chart, fn), **kw: build_jets.append((fn, kw)) or f(p, **kw)
         monkeypatch.setattr(curvature, fn, record)
     monkeypatch.setattr(chart, "coframe_jets", lambda p: coframes.append(np.shape(p)) or coframe_jets(p))
-    metric_jets = lambda p: metrics.append(np.shape(p)) or chart.metric_jets(p)
+    metric_jets = lambda p, **kw: metrics.append(np.shape(p)) or chart.metric_jets(p, **kw)
     monkeypatch.setattr(soliton, "metric_jets", metric_jets)
     monkeypatch.setattr(checks, "metric_jets", metric_jets, raising=False)
     before = curvature._geometry.cache_info()

@@ -110,6 +110,14 @@ def test_basis_round_trip_preserves_norm():
         assert float(u.comp @ g @ u.comp) == pytest.approx(v.norm_squared(), rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (4, 4)])
+def test_norm_squared_gives_one_value_per_vector(shape):
+    comp = np.random.default_rng(9).uniform(-3, 3, shape)
+    got = FrameVector(comp).norm_squared()
+    assert np.shape(got) == shape[:-1] and isinstance(got, float) == (shape == (4,))
+    assert np.array_equal(got, np.sum(comp * comp, axis=-1))
+
+
 def test_domain_validation():
     with pytest.raises(DomainError):
         Point(0.0, 0.0, 0.0, 0.0)

@@ -255,6 +255,22 @@ def test_cli_env_seed(monkeypatch, capsys):
     assert via_env == via_flag
 
 
+def test_seed_outside_32_bits_is_a_config_error(monkeypatch, capsys):
+    # the Philox key holds 32 bits of seed: 2**32 would repeat seed 0's streams, and -1 those of 2**32 - 1
+    for bad in (-1, 2**32):
+        with pytest.raises(ConfigError):
+            run_suite("lemma1", RunConfig(seed=bad, points=2))
+        assert main(["lemma1", "--seed", str(bad), "--points", "2"]) == 2
+        monkeypatch.setenv("GEOVERIFY_SEED", str(bad))
+        assert main(["lemma1", "--points", "2"]) == 2
+        monkeypatch.delenv("GEOVERIFY_SEED")
+    err = capsys.readouterr().err
+    assert err.count("error: seed must be in [0, 2**32)") == 4 and "Traceback" not in err
+    # both ends of the range run, on distinct streams
+    low, high = (run_suite("lemma1", RunConfig(seed=seed, points=2)) for seed in (0, 2**32 - 1))
+    assert low.passed and high.passed and low.witness_point != high.witness_point
+
+
 def test_cli_custom_box(capsys):
     code = main(["lemma1", "--points", "3", "--box", "0,1,0,1,0,1,1,1.5"])
     assert code == 0

@@ -112,6 +112,20 @@ def test_st_only_guard():
         harmonic_section_equations(dep, Point(0.5, 0.5, 0.5, 1.0))
 
 
+def test_st_only_guard_rejects_a_nan_gradient():
+    # NaN > tol is False, so a guard written as "fail if above" would let this field through
+    nan = frame_field(
+        lambda x, y, s, t: np.nan * x,
+        lambda x, y, s, t: 0.0,
+        lambda x, y, s, t: 0.0,
+        lambda x, y, s, t: 0.0,
+    )
+    with pytest.raises(NotSTOnly):
+        harmonic_section_residual(nan, Point(0.5, 0.5, 0.5, 1.0))
+    with pytest.raises(NotSTOnly):
+        horizontal_tension_expanded(nan, Point(0.5, 0.5, 0.5, 1.0))
+
+
 def test_intrinsic_matches_component_system():
     rng = np.random.default_rng(45)
     weights = np.array([1.0, 1.0, 2.0, 2.0])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from geoverify import chart
+from geoverify.harmonic import CorollaryFamily, corollary_field
 from geoverify.jets import DomainError, Jet2, constant, point_jets, reciprocal, seed, sqrt
+from geoverify.soliton import SolitonParams, soliton_field
 
 from oracles import fd_gradient, fd_hessian, fd_hessian_richardson, tame_expression_at
 
@@ -179,3 +181,38 @@ def test_longdouble_points_give_longdouble_jets(batch):
             assert np.max(np.abs(a.J - b.J)) <= 1e-15 * np.max(np.abs(b.J))
     assert constant(np.longdouble(2.0)).J.dtype == np.longdouble
     assert constant(2).J.dtype == np.float64
+
+
+FIRST_ORDER_EXPRESSIONS = [
+    lambda x, y, s, t: sqrt(s * s + t),
+    lambda x, y, s, t: reciprocal(x * t + 3.0),
+    lambda x, y, s, t: (s - x) ** 3 * t**-2 + y**0,  # integer powers, the zeroth too
+    lambda x, y, s, t: t**1.7 + (y * y + t) ** -0.5,  # non-integer powers
+    lambda x, y, s, t: (x + y) * (s * t) * (x - 2.0 * t),  # jet x jet products
+]
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 5)])
+def test_first_order_jets_are_the_value_and_gradient_slots_bit_for_bit(batch):
+    rng = np.random.default_rng(13)
+    P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    for f in FIRST_ORDER_EXPRESSIONS:
+        one, two = f(*point_jets(P, 1)).J, f(*point_jets(P)).J
+        assert one.shape == (5,) + batch and np.array_equal(one, two[:5])
+    # the closed forms, as the chart layer evaluates them, in either basis
+    fields = [soliton_field(SolitonParams(*rng.uniform(-3.0, 3.0, 5)))]
+    fields += [corollary_field(CorollaryFamily(k, *rng.uniform(-3.0, 3.0, 2))) for k in (1, 2, 3, 4)]
+    pairs = [(chart._jets(f, P, order=1), chart._jets(f, P)) for f in (chart._frames, chart._metric)]
+    pairs.append((chart.metric_jets(P, order=1), chart.metric_jets(P)))
+    for X in fields:
+        for jets_of in (X.component_jets, X.coordinate_component_jets, X.frame_component_jets):
+            pairs.append((jets_of(P, order=1), jets_of(P)))
+    for one, two in pairs:
+        assert len(one) == 2 and len(two) == 3
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(one, two))
+
+
+def test_a_jet_order_is_1_or_2():
+    for order in (0, 3):
+        with pytest.raises(KeyError):
+            point_jets((0.0, 0.0, 0.0, 1.0), order)

@@ -1,0 +1,70 @@
+"""Mutation tests: a PASS means something only if a wrong kernel would have failed.
+
+Each mutant replaces one kernel, constant or closed-form table entry by a
+slightly wrong one, and names a check that must then fail at the default
+configuration.  A ``from ... import`` makes a second binding of a name,
+which patching the defining module alone would miss, so every mutant is
+applied to every geoverify module that binds the original object.
+"""
+
+import sys
+
+import pytest
+
+from geoverify import chart, harmonic, soliton
+from geoverify.checks import RunConfig, run_suite
+
+CFG = RunConfig(points=20)
+
+
+def _patch_everywhere(monkeypatch, owner, name: str, mutate) -> int:
+    """Replace ``owner.name`` by ``mutate(original)`` in every geoverify module bound to it; returns the count."""
+    original = getattr(owner, name)
+    mutant = mutate(original)
+    modules = [m for key, m in list(sys.modules.items()) if key == "geoverify" or key.startswith("geoverify.")]
+    bound = [m for m in modules if getattr(m, name, None) is original]
+    for module in bound:
+        monkeypatch.setattr(module, name, mutant)
+    return len(bound)
+
+
+def _scaled(factor: float):
+    return lambda f: lambda *args: factor * f(*args)
+
+
+def _entry_scaled(row: int, col: int, factor: float, table: int | None = None):
+    """Scale one entry of a closed-form 4x4 table (of ``table`` among several, if given)."""
+
+    def mutate(f):
+        def mutant(*q):
+            tables = f(*q)
+            grid = [list(r) for r in (tables if table is None else tables[table])]
+            grid[row][col] = grid[row][col] * factor
+            grid = tuple(map(tuple, grid))
+            return grid if table is None else tuple(grid if k == table else t for k, t in enumerate(tables))
+
+        return mutant
+
+    return mutate
+
+
+# name: (owner module, attribute, mutation, checks that must fail)
+MUTANTS = {
+    "closedness defect x 1.01": (soliton, "_closedness_defect", _scaled(1.01), ["nongradient"]),
+    "metric g_ss x (1 + 1e-6)": (chart, "_metric", _entry_scaled(2, 2, 1.0 + 1e-6), ["nongradient"]),
+    "coframe th3 x (1 + 1e-6)": (chart, "_frames", _entry_scaled(2, 2, 1.0 + 1e-6, table=1), ["lemma1", "theorem1"]),
+    "soliton lambda + 1e-6": (soliton, "SOLITON_LAMBDA", lambda lam: lam + 1e-6, ["theorem1", "coercivity"]),
+    "EXPONENT_PLUS + 1e-7": (harmonic, "EXPONENT_PLUS", lambda a: a + 1e-7, ["corollary"]),
+    "horizontal tension x 1.0001": (harmonic, "_horizontal_tension", _scaled(1.0001), ["harmonic-map-witnesses"]),
+    "rough Laplacian x 1.5": (harmonic, "_rough_laplacian", _scaled(1.5), ["theorem3", "corollary"]),
+    "scalar Laplacian x 3": (soliton, "_scalar_laplacian", _scaled(3.0), ["theorem3", "corollary"]),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_is_killed(name, monkeypatch):
+    owner, attribute, mutate, killers = MUTANTS[name]
+    assert all(run_suite(check, CFG).passed for check in killers)  # the control: unmutated, each check passes
+    assert _patch_everywhere(monkeypatch, owner, attribute, mutate) >= 1
+    for check in killers:
+        assert not run_suite(check, CFG).passed, f"{name} survives {check}"
