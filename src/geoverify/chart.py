@@ -71,8 +71,12 @@ class Point:
 
 
 def as_point(p) -> Point:
-    """Coerce a Point or a length-4 sequence to a Point (validates the domain)."""
-    return p if isinstance(p, Point) else Point(p[0], p[1], p[2], p[3])
+    """Coerce a Point or a length-4 sequence to a Point (validates the domain and the length)."""
+    if isinstance(p, Point):
+        return p
+    if len(p) != 4:
+        raise ValueError(f"a chart point has 4 coordinates, got shape {np.shape(p)}")
+    return Point(p[0], p[1], p[2], p[3])
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,8 @@ _JetArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # (val, grad, hess): bat
 def _as_points(p) -> np.ndarray:
     """A Point or a (..., 4) array-like of points as a float array; a domain error names the first bad row."""
     P = np.array(p.astuple()) if isinstance(p, Point) else np.asarray(p, dtype=float)
+    if P.shape[-1:] != (4,):
+        raise ValueError(f"a chart point has 4 coordinates, got shape {P.shape}")
     ok = P[..., 3] > 0.0  # finiteness row by row is a slow reduction over length-4 rows: only where some entry fails
     _require(ok if np.isfinite(P).all() else ok & np.isfinite(P).all(-1), "chart requires finite coordinates and t > 0")
     return P

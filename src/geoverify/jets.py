@@ -144,8 +144,11 @@ def _lift(J: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _joint(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed jets A and B broadcast to the batch they share (see :func:`_lift`)."""
-    return (A, B) if A.shape == B.shape else (_lift(A, B.shape[1:]), _lift(B, A.shape[1:]))
+    """Packed jets A and B broadcast to the batch they share (see :func:`_lift`), cut to the lower order of the two."""
+    if A.shape == B.shape:
+        return A, B
+    n = min(len(A), len(B))  # truncated Taylor arithmetic: with a first-order operand, a result is first order only
+    return _lift(A[:n], B.shape[1:]), _lift(B[:n], A.shape[1:])
 
 
 def _with_constant(J: np.ndarray, c):

@@ -22,7 +22,7 @@ from geoverify.chart import (
     to_coord,
     to_frame,
 )
-from geoverify.curvature import geometry_at
+from geoverify.curvature import frame_connection, geometry_at
 from geoverify.jets import DomainError, point_jets, sqrt
 
 from oracles import (
@@ -127,6 +127,14 @@ def test_domain_validation():
         as_point((0.0, 0.0, 0.0, -2.0))
     with pytest.raises(DomainError):
         metric_at((1.0, 1.0, 1.0, 0.0))
+
+
+def test_a_point_of_another_length_is_an_error_naming_its_shape():
+    # one point or a batch whose last axis is not 4 is neither truncated nor an IndexError
+    for q in [(1.0, 2.0, 3.0, 1.0, 9.0), (1.0, 2.0, 1.0), np.ones((2, 5)), np.ones((5, 3))]:
+        with pytest.raises(ValueError, match=rf"got shape \({np.shape(q)[0]},") as exc:
+            frame_connection(q)
+        assert not isinstance(exc.value, DomainError)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -187,6 +187,21 @@ def test_domain_error_on_the_nongradient_grid_fails_at_that_grid_point():
     assert rep.witness_point == (-2.0, -2.0, -2.0, 1e-170)
 
 
+def test_nongradient_is_the_c3_claim_and_one_least_squares_claim_over_the_family(monkeypatch):
+    cfg = RunConfig(points=5)
+    sampled, (c3, family) = checks._check_nongradient(cfg, _sample_points(cfg, "nongradient"))
+    assert sampled == 5 + 625 and c3.margin is None and len(c3.residuals) == 5
+    # the closest member (c2 = -4.67) keeps 0.89 of the base member's defect on the default grid
+    assert family.margin == checks._FAMILY_MARGIN and len(family.residuals) == 1
+    assert 0.89 < family.residuals[0] < 0.9
+    # non-finite basis defects on the grid fail at the first such grid point, before any least squares
+    monkeypatch.setattr(np.linalg, "lstsq", None)
+    cfg = RunConfig(points=5, box=Box(tmin=1e200, tmax=1e201))
+    with np.errstate(all="ignore"):
+        _, (_, nan) = checks._check_nongradient(cfg, _sample_points(cfg, "nongradient"))
+    assert nan.margin is None and np.isnan(nan.residuals[0]) and tuple(nan.points[0]) == (-2.0, -2.0, -2.0, 1e200)
+
+
 def test_failed_inequality_fails_at_any_tolerance(capsys):
     # t in [100, 1000] leaves the shifted-exponent witnesses below their margin
     assert main(["corollary", "--box=-2,2,-2,2,-2,2,100,1000", "--points", "5", "--tol", "2"]) == 1

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,19 @@ def test_first_order_jets_are_the_value_and_gradient_slots_bit_for_bit(batch):
     for one, two in pairs:
         assert len(one) == 2 and len(two) == 3
         assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(one, two))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_first_and_second_order_jets_meet_at_first_order_bit_for_bit(batch):
+    P = np.random.default_rng(5).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    (x2, *_, t2), (x1, y1, *_, t1) = point_jets(P), point_jets(P, 1)
+    c2 = constant(2.0)
+    c1 = Jet2(c2.J[:5])  # the same constant at first order
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for second, first, other in ((c2, c1, y1), (x2, x1, y1), (t2, t1, x1)):
+            for a, b, pure in ((second, other, op(first, other)), (other, second, op(other, first))):
+                got = op(a, b)
+                assert got.J.shape == (5,) + batch and np.array_equal(got.J, pure.J)
 
 
 def test_a_jet_order_is_1_or_2():

@@ -8,11 +8,14 @@ applied to every geoverify module that binds the original object.
 """
 
 import sys
+import warnings
 
 import pytest
 
 from geoverify import chart, harmonic, soliton
+from geoverify.chart import coordinate_field
 from geoverify.checks import RunConfig, run_suite
+from geoverify.soliton import SolitonParams
 
 CFG = RunConfig(points=20)
 
@@ -48,9 +51,28 @@ def _entry_scaled(row: int, col: int, factor: float, table: int | None = None):
     return mutate
 
 
+def _rebased(base: SolitonParams):
+    """soliton_field(c) becomes f(c) - 2 f(0) + f(base): the same Killing span over the base field f(base) - f(0)."""
+
+    def mutate(f):
+        def mutant(params):
+            terms = (1.0, f(params)), (-2.0, f(SolitonParams())), (1.0, f(base))
+            return coordinate_field(
+                *(lambda *q, k=k: sum(w * xi.components[k](*q) for w, xi in terms) for k in range(4))
+            )
+
+        return mutant
+
+    return mutate
+
+
 # name: (owner module, attribute, mutation, checks that must fail)
 MUTANTS = {
     "closedness defect x 1.01": (soliton, "_closedness_defect", _scaled(1.01), ["nongradient"]),
+    "closedness defect x 1e-6": (soliton, "_closedness_defect", _scaled(1e-6), ["nongradient"]),
+    "closedness defect := 0": (soliton, "_closedness_defect", _scaled(0.0), ["nongradient"]),
+    # its member c4 = -1 is the zero field, which is closed: only a claim over the whole family sees it
+    "family through zero": (soliton, "soliton_field", _rebased(SolitonParams(c4=1.0)), ["nongradient"]),
     "metric g_ss x (1 + 1e-6)": (chart, "_metric", _entry_scaled(2, 2, 1.0 + 1e-6), ["nongradient"]),
     "coframe th3 x (1 + 1e-6)": (chart, "_frames", _entry_scaled(2, 2, 1.0 + 1e-6, table=1), ["lemma1", "theorem1"]),
     "soliton lambda + 1e-6": (soliton, "SOLITON_LAMBDA", lambda lam: lam + 1e-6, ["theorem1", "coercivity"]),
@@ -68,3 +90,12 @@ def test_mutant_is_killed(name, monkeypatch):
     assert _patch_everywhere(monkeypatch, owner, attribute, mutate) >= 1
     for check in killers:
         assert not run_suite(check, CFG).passed, f"{name} survives {check}"
+
+
+def test_a_closed_base_member_fails_nongradient_without_a_warning(monkeypatch):
+    # f(c) - f(0): the base member is the zero field, so the base defect D0 on the grid is 0 and no ratio exists
+    _patch_everywhere(monkeypatch, soliton, "soliton_field", _rebased(SolitonParams()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_suite("nongradient", CFG)
+    assert not report.passed and report.max_residual == 1.0  # the c3 claim holds; the family claim fails
