@@ -27,25 +27,21 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="verify",
-        description="Run residual checks for the F4 geometry at sampled points.",
-    )
-    parser.add_argument("check", help="check name or 'all'; known: " + ", ".join(CHECK_NAMES))
-    parser.add_argument("--seed", type=int, default=None, help="sampling seed (default: $GEOVERIFY_SEED or 0)")
-    parser.add_argument("--points", type=int, default=100, help="points per check (default 100)")
-    parser.add_argument("--tol", type=float, default=1e-9, help="pass threshold (default 1e-9)")
-    parser.add_argument(
-        "--box",
-        default=None,
-        metavar="xmin,xmax,ymin,ymax,smin,smax,tmin,tmax",
-        help="sampling bounds (default -2,2,-2,2,-2,2,0.5,2)",
-    )
-    parser.add_argument("--c", default=None, metavar="c1,c2,c3,c4,c5", help="pin the soliton constants")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None, help="pin the soliton constant lambda")
-    parser.add_argument("--json", dest="json_path", default=None, help="write JSON-line reports to this path")
-    return parser
+# built once per process: building it costs more than parsing
+_PARSER = argparse.ArgumentParser("verify", description="Run residual checks for the F4 geometry at sampled points.")
+_PARSER.add_argument("check", help="check name or 'all'; known: " + ", ".join(CHECK_NAMES))
+_PARSER.add_argument("--seed", type=int, default=None, help="sampling seed (default: $GEOVERIFY_SEED or 0)")
+_PARSER.add_argument("--points", type=int, default=100, help="points per check (default 100)")
+_PARSER.add_argument("--tol", type=float, default=1e-9, help="pass threshold (default 1e-9)")
+_PARSER.add_argument(
+    "--box",
+    default=None,
+    metavar="xmin,xmax,ymin,ymax,smin,smax,tmin,tmax",
+    help="sampling bounds (default -2,2,-2,2,-2,2,0.5,2)",
+)
+_PARSER.add_argument("--c", default=None, metavar="c1,c2,c3,c4,c5", help="pin the soliton constants")
+_PARSER.add_argument("--lambda", dest="lam", type=float, default=None, help="pin the soliton constant lambda")
+_PARSER.add_argument("--json", dest="json_path", default=None, help="write JSON-line reports to this path")
 
 
 def _make_config(args) -> RunConfig:
@@ -90,8 +86,7 @@ def _emit(reports: list[CheckReport], json_path: str | None):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _make_config(args)
         if args.check == "all":

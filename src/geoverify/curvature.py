@@ -24,7 +24,6 @@ Sign conventions:
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -49,18 +48,20 @@ __all__ = [
 class Geometry:
     """Pointwise frame arrays for one chart point or a batch (all indices 0-based), built in the live coordinates.
 
-    Batch axes come first, then derivative indices, then the entry:
+    Batch axes come first, then derivative indices, then the entry.  The build forms E, the coframe jets and fc from
+    first derivatives; the rest is formed on first read and then kept.  ``lemma1`` (fc) and ``harmonic-components``
+    (G, v) never form dfc; ``lemma2``, ``theorem1`` and ``coercivity`` read ric, and only ``riemc`` and the tension Rfr.
 
         E[..., i,a]            frame e_{i+1} components against d/dx_a
         coframe                jets (T, dT, d2T) of the coframe rows th_{k+1}, for converting coordinate fields
-        fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k)
-        Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l), formed from fc, c and dfc on first read and then kept, since
-                               only the curvature claims read its 256 entries per point
+        fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k); tau_m = sum_i fc_iim, so sum_i nabla_{e_i} e_i = tau_m e_m
+        ric[..., i,j]          Ric(e_i, e_j) = e_i(tau_j) - e_a(fc_iaj) + tau_m fc_imj - (fc_iam + c_ima) fc_amj
+        Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l), 256 entries per point
 
     and the Laplacians' coefficients: Lap f = G_ab d_a d_b f + v_b d_b f, (Lap X)_j = Lap X_j + C_akj d_a X_k + M_kj X_k
     on the jets of a scalar f and of a field's frame components X_k,
         G[..., a,b]            sum_i E_ia E_ib, the inverse metric
-        v[..., b]              sum_i e_i(E_ib) - tau_m E_mb, where sum_i nabla_{e_i} e_i = tau_m e_m = sum_i fc_iim e_m
+        v[..., b]              sum_i e_i(E_ib) - tau_m E_mb
         C[..., a,k,j]          2 sum_i E_ia fc_ikj
         M[..., k,j]            (Lap e_k)_j = sum_i [e_i(fc_ikj) + fc_ikm fc_imj] - tau_m fc_mkj
 
@@ -72,13 +73,47 @@ class Geometry:
     E: np.ndarray
     coframe: tuple[np.ndarray, np.ndarray, np.ndarray]
     fc: np.ndarray
-    G: np.ndarray
-    v: np.ndarray
-    C: np.ndarray
-    M: np.ndarray
+    _tau: np.ndarray
     _c: np.ndarray  # c[..., i,j,k] = th_k([e_i, e_j])
-    _dfc: np.ndarray  # dfc[..., m,i,j,k] = d_m fc_ijk for the live coordinates m
-    _live: slice | np.ndarray
+    _eE: np.ndarray  # eE[..., b] = sum_i e_i(E_ib)
+    _live: slice | np.ndarray  # the live coordinates: a slice when they are consecutive, else an index array
+    _stage2: tuple[np.ndarray, np.ndarray, np.ndarray]  # own copies of d_m E, d_m d_n E (live m, n); B = [e_i, e_j]^b
+
+    @cached_property
+    def _dfc(self) -> np.ndarray:
+        """dfc[..., m,i,j,k] = d_m fc_ijk for the live coordinates m, by way of dD = d_m e_i(E_jb), dB and dc."""
+        (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self.coframe
+        dD = np.einsum("...mia,...ajb->...mijb", dEL[..., live], dEL)
+        dD += np.einsum("...ia,...majb->...mijb", self.E[..., live], d2EL)
+        dB = dD - np.swapaxes(dD, -3, -2)
+        dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT[..., live, :, :])
+        return _koszul(dc)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return np.asfortranarray(np.swapaxes(self.E, -1, -2) @ self.E)  # the batch innermost, as in every other array
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return self._eE - np.einsum("...m,...mb->...b", self._tau, self.E)
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        return 2 * np.einsum("...ia,...ikj->...akj", self.E, self.fc)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        M = np.einsum("...ia,...aikj->...kj", self.E[..., self._live], self._dfc)
+        M += np.einsum("...ikm,...imj->...kj", self.fc, self.fc)
+        M -= np.einsum("...m,...mkj->...kj", self._tau, self.fc)
+        return M
+
+    @cached_property
+    def ric(self) -> np.ndarray:
+        # Rfr_iaaj in one pass, with fc_iam + c_ima = -fc_mia, since fc_ijk = -fc_ikj and c_ima = fc_ima - fc_mia
+        fc, EL, dfc = self.fc, self.E[..., self._live], self._dfc
+        e = np.einsum("...im,...maaj->...ij", EL, dfc) - np.einsum("...am,...miaj->...ij", EL, dfc)
+        return e + np.einsum("...m,...imj->...ij", self._tau, fc) + np.einsum("...mia,...amj->...ij", fc, fc)
 
     @cached_property
     def Rfr(self) -> np.ndarray:
@@ -89,42 +124,25 @@ class Geometry:
         return A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", self._c, fc)
 
 
-_Brackets = namedtuple("_Brackets", "E eE coframe c dc live")
-
-
-def _brackets(p) -> _Brackets:
-    """E, eE[b] = sum_i e_i(E_ib), the coframe jets, c[i,j,k] = th_k([e_i, e_j]), and dc[m,i,j,k] = d_m c for the
-    live coordinates m, which ``live`` indexes: a slice when they are consecutive, else an index array."""
-    F, dF, d2F = frame_jets(p, coframe=True)  # entry axes (frame or coframe, row, coordinate slot)
-    axes = tuple(range(F.ndim - 3)) + (-3, -2, -1)  # all but the (first) derivative index
-    rows = np.flatnonzero(np.any(dF != 0.0, axis=axes) | np.any(d2F != 0.0, axis=axes + (-4,)))
-    live = slice(rows[0], rows[-1] + 1) if len(rows) and rows[-1] - rows[0] == len(rows) - 1 else rows
-    E, dE, d2E = (a[..., 0, :, :] for a in (F, dF, d2F))
-    coframe = T, dT, _ = tuple(a[..., 1, :, :].copy(order="K") for a in (F, dF, d2F))  # own arrays, as E below
-    EL, dEL = E[..., live], dE[..., live, :, :]  # E_ia and d_a E_jb for live a
-    D = np.einsum("...ia,...ajb->...ijb", EL, dEL)  # D[i,j,b] = e_i(E_jb)
-    d2EL = d2E[..., live, :, :, :][..., live, :, :]
-    dD = np.einsum("...mia,...ajb->...mijb", dEL[..., live], dEL) + np.einsum("...ia,...majb->...mijb", EL, d2EL)
-    B, dB = D - np.swapaxes(D, -3, -2), dD - np.swapaxes(dD, -3, -2)  # [e_i, e_j]^b and d_m of it
-    dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT[..., live, :, :])
-    E = E.copy(order="K")  # E's own array, in its layout: a view would keep the frame's derivatives alive
-    return _Brackets(E, np.einsum("...iib->...b", D), coframe, np.einsum("...ijb,...kb->...ijk", B, T), dc, live)
-
-
 def _koszul(c):
     """fc[..., i,j,k] = (c_ijk - c_ikj - c_jki) / 2, for c or any derivative of it."""
     return 0.5 * (c - np.einsum("...ikj->...ijk", c) - np.einsum("...jki->...ijk", c))
 
 
 def _build(p) -> Geometry:
-    E, eE, coframe, c, dc, live = _brackets(p)  # a stage of its own: second derivatives are freed before the curvature
-    fc, dfc = _koszul(c), _koszul(dc)
-    tau = np.einsum("...iim->...m", fc)
-    v, C = eE - np.einsum("...m,...mb->...b", tau, E), 2 * np.einsum("...ia,...ikj->...akj", E, fc)
-    M = np.einsum("...ia,...aikj->...kj", E[..., live], dfc) + np.einsum("...ikm,...imj->...kj", fc, fc)
-    M -= np.einsum("...m,...mkj->...kj", tau, fc)
-    G = np.asfortranarray(np.swapaxes(E, -1, -2) @ E)  # the batch innermost in memory, as in every other array
-    return Geometry(E, coframe, fc, G, v, C, M, c, dfc, live)
+    F, dF, d2F = frame_jets(p, coframe=True)  # entry axes (frame or coframe, row, coordinate slot)
+    axes = tuple(range(F.ndim - 3)) + (-3, -2, -1)  # all but the (first) derivative index
+    rows = np.flatnonzero(np.any(dF != 0.0, axis=axes) | np.any(d2F != 0.0, axis=axes + (-4,)))
+    live = slice(rows[0], rows[-1] + 1) if len(rows) and rows[-1] - rows[0] == len(rows) - 1 else rows
+    E, dE, d2E = (a[..., 0, :, :] for a in (F, dF, d2F))
+    # own arrays, in their layout, of all the geometry keeps: a view would keep every frame and coframe jet alive
+    coframe = T, _, _ = tuple(a[..., 1, :, :].copy(order="K") for a in (F, dF, d2F))
+    dEL, d2EL = dE[..., live, :, :].copy(order="K"), d2E[..., live, :, :, :][..., live, :, :].copy(order="K")
+    D = np.einsum("...ia,...ajb->...ijb", E[..., live], dEL)  # D[i,j,b] = e_i(E_jb)
+    B = D - np.swapaxes(D, -3, -2)  # [e_i, e_j]^b
+    c = np.einsum("...ijb,...kb->...ijk", B, T)
+    fc, eE = _koszul(c), np.einsum("...iib->...b", D)
+    return Geometry(E.copy(order="K"), coframe, fc, np.einsum("...iim->...m", fc), c, eE, live, (dEL, d2EL, B))
 
 
 # single points only: a replay asks for one point's geometry several times; a check's batch is built once
@@ -136,10 +154,6 @@ def geometry_at(p) -> Geometry:
     if np.ndim(p) > 1:
         return _build(p)
     return _geometry(as_point(p))
-
-
-def _ricci(Rfr: np.ndarray) -> np.ndarray:
-    return np.einsum("...iaaj->...ij", Rfr)
 
 
 def _nabla(geo: Geometry, val, grad) -> np.ndarray:
@@ -187,14 +201,15 @@ def riemann_frame(p, i: int, j: int, k: int, l: int) -> float | np.ndarray:
 
 def ricci_frame(p) -> np.ndarray:
     """Ricci matrix in the frame: Ric[..., i, j] = sum_a g(R(e_i,e_a)e_a,e_j)."""
-    return _ricci(geometry_at(p).Rfr)
+    return geometry_at(p).ric.copy()
 
 
 def scalar_curvature(p) -> float | np.ndarray:
-    return _per_point(np.trace(ricci_frame(p), axis1=-2, axis2=-1))
+    return _per_point(np.trace(geometry_at(p).ric, axis1=-2, axis2=-1))
 
 
 def coercivity_check(p, v: FrameVector, lam: float) -> float | np.ndarray:
     """Ric(v, v) - lam * g(v, v) for a frame vector v (components [..., i]) at p."""
     c = v.comp
-    return _per_point(np.einsum("...i,...ij,...j->...", c, ricci_frame(p), c) - lam * np.einsum("...i,...i->...", c, c))
+    quadratic = np.einsum("...i,...ij,...j->...", c, geometry_at(p).ric, c)
+    return _per_point(quadratic - lam * np.einsum("...i,...i->...", c, c))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import AnalyticVectorField, _jets, _per_point, coordinate_field, frame_field, metric_jets
-from .curvature import _nabla, _ricci, geometry_at
+from .curvature import _nabla, geometry_at
 from .jets import sqrt
 
 __all__ = [
@@ -119,7 +119,7 @@ def soliton_residual(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     """Ric + (1/2) L_xi g - lam g in the frame; zero iff (xi, lam) is a soliton at p."""
     geo = geometry_at(p)
     beta = _nabla(geo, *xi.frame_component_jets(p, geo.coframe, order=1))
-    return _ricci(geo.Rfr) + 0.5 * (beta + np.swapaxes(beta, -1, -2)) - lam * np.eye(4)
+    return geo.ric + 0.5 * (beta + np.swapaxes(beta, -1, -2)) - lam * np.eye(4)
 
 
 def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:

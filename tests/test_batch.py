@@ -51,8 +51,7 @@ def test_geometry_batch_matches_single_points(batch):
     geo = curvature.geometry_at(P)
     for name in ("E", "fc", "Rfr", "G", "v", "C", "M"):
         assert_batch_matches(getattr(geo, name), [getattr(curvature.geometry_at(p), name) for p in pts])
-    dfc = curvature._koszul(curvature._brackets(P).dc)  # d_m fc in the live m, which the build reads and does not keep
-    assert_batch_matches(dfc, [curvature._koszul(curvature._brackets(p).dc) for p in pts])
+    assert_batch_matches(geo._dfc, [curvature.geometry_at(p)._dfc for p in pts])  # d_m fc in the live m
     for k in range(3):  # the carried coframe jets
         assert_batch_matches(geo.coframe[k], [curvature.geometry_at(p).coframe[k] for p in pts])
     for fn in (

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from geoverify.chart import Point
 from geoverify.checks import (
     CHECK_NAMES,
     Box,
+    CheckReport,
     ConfigError,
     RunConfig,
     UnknownCheck,
@@ -105,6 +107,26 @@ def test_reports_are_deterministic():
 def test_roundoff_floor_fails_at_tiny_tolerance():
     reports = run_all(RunConfig(seed=42, points=2, tol=1e-30))
     assert any(not r.passed for r in reports)
+
+
+def test_json_bytes_are_the_asdict_serialization():
+    # a passing report, a NaN report and a failed inequality, each as dataclasses.asdict serialized it
+    with np.errstate(all="ignore"):
+        reports = [
+            run_suite("lemma1", RunConfig(points=5)),
+            run_suite("lemma2", RunConfig(points=5, box=Box(tmin=1e308, tmax=1.7e308))),
+            run_suite("corollary", RunConfig(points=5, box=Box(tmin=0.001, tmax=0.01))),
+        ]
+    assert [r.passed for r in reports] == [True, False, False]
+    assert np.isnan(reports[1].max_residual) and reports[2].max_residual == 1.0
+    for rep in reports:
+        old = {("pass" if k == "passed" else k): v for k, v in dataclasses.asdict(rep).items()}
+        assert rep.to_json() == json.dumps(old)
+    rep = CheckReport("lemma2", 5, math.nan, 1e-9, False, (0.5, -1.0, 1.5, 2.0), 1.25)
+    assert rep.to_json() == (
+        '{"check_name": "lemma2", "points_sampled": 5, "max_residual": NaN, "threshold": 1e-09, "pass": false, '
+        '"witness_point": [0.5, -1.0, 1.5, 2.0], "elapsed_ms": 1.25}'
+    )
 
 
 def test_json_report_schema():
@@ -386,7 +408,21 @@ def test_only_the_curvature_claims_build_the_curvature_tensor(monkeypatch):
 
     built, build = [], curvature._build
     monkeypatch.setattr(curvature, "_build", lambda p: built.append(build(p)) or built[-1])
-    for name, reads in (("corollary", False), ("theorem3", False), ("lemma2", True)):
+    # check: (forms the 256-entry Rfr, forms the second-derivative stage dfc); nongradient builds no geometry
+    forms = {
+        "coercivity": (False, True),
+        "corollary": (False, True),
+        "harmonic-components": (False, False),
+        "harmonic-map-witnesses": (True, True),
+        "lemma1": (False, False),
+        "lemma2": (False, True),
+        "riemc": (True, True),
+        "theorem1": (False, True),
+        "theorem3": (False, True),
+    }
+    assert sorted(forms) == sorted(set(CHECK_NAMES) - {"nongradient"})
+    for name, (rfr, dfc) in forms.items():
         built.clear()
         assert run_suite(name, RunConfig(points=20)).passed
-        assert built and all(("Rfr" in vars(geo)) is reads for geo in built), name
+        assert built, name
+        assert all((("Rfr" in vars(geo)), ("_dfc" in vars(geo))) == (rfr, dfc) for geo in built), name

@@ -3,9 +3,7 @@ import pytest
 
 from geoverify.chart import FrameVector, Point, inverse_metric_at, inverse_metric_jets
 from geoverify.curvature import (
-    _brackets,
     _build,
-    _koszul,
     christoffel_at,
     coercivity_check,
     frame_connection,
@@ -62,24 +60,43 @@ GEOMETRY_ARRAYS = ("E", "fc", "Rfr", "G", "v", "C", "M")
 @pytest.mark.parametrize("batch", [(), (1,), (7,), (300,), (1024,)])
 def test_live_direction_build_is_bit_identical_to_the_four_row_contraction(batch):
     P = np.random.default_rng(17).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
-    geo, ref, brackets = _build(P), four_row_geometry(P), _brackets(P)
+    geo, ref = _build(P), four_row_geometry(P)
     for name in GEOMETRY_ARRAYS:
         assert np.array_equal(getattr(geo, name), ref[name]), name
     # F4's frame and coframe depend on s and t alone: the x and y rows are the exact zeros the build leaves out
-    assert list(np.arange(4)[brackets.live]) == [2, 3]
+    assert list(np.arange(4)[geo._live]) == [2, 3]
     dfc = ref["dfc"]
-    assert np.array_equal(_koszul(brackets.dc), dfc[..., 2:, :, :, :]) and not np.any(dfc[..., :2, :, :, :])
+    assert np.array_equal(geo._dfc, dfc[..., 2:, :, :, :]) and not np.any(dfc[..., :2, :, :, :])
 
 
 @pytest.mark.parametrize("t, live", [(1e-320, [0, 1, 2, 3]), (1e-200, [0, 1, 2, 3]), (1e200, [2, 3])])
 def test_nan_and_inf_derivative_rows_count_as_live(t, live):
     # where t under- or overflows the jets, x and y rows hold NaN or inf, and are contracted like any nonzero row
     P = np.array([[0.5, -1.0, 1.5, t], [1.0, 1.0, -0.3, 2.0 * t]])
-    with np.errstate(all="ignore"):
-        geo, ref, brackets = _build(P), four_row_geometry(P), _brackets(P)
-    assert list(np.arange(4)[brackets.live]) == live
+    with np.errstate(all="ignore"):  # the fields formed on read overflow too: read every one of them in here
+        geo, ref = _build(P), four_row_geometry(P)
+        got = {name: getattr(geo, name) for name in GEOMETRY_ARRAYS + ("ric",)}
+    assert list(np.arange(4)[geo._live]) == live
     for name in GEOMETRY_ARRAYS:
-        assert np.array_equal(getattr(geo, name), ref[name], equal_nan=True), name
+        assert np.array_equal(got[name], ref[name], equal_nan=True), name
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (300,), (3, 5)])
+def test_ricci_contraction_is_the_trace_of_the_curvature_tensor(batch):
+    P = np.random.default_rng(18).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    geo = _build(P)
+    trace = np.einsum("...iaaj->...ij", geo.Rfr)
+    assert geo.ric.shape == batch + (4, 4)
+    assert np.max(np.abs(geo.ric - trace)) <= 1e-13 * np.max(np.abs(trace))
+
+
+def test_readers_return_copies_of_the_cached_arrays():
+    p = (0.3, -0.7, 1.1, 0.9)  # one point: its geometry stays in the cache between the calls
+    for reader in (ricci_frame, frame_connection, riemann_frame_table):
+        first = reader(p)
+        expected = first.copy()
+        first[...] = 99.0
+        assert np.array_equal(reader(p), expected), reader.__name__
 
 
 def test_connection_table_examples():
@@ -183,3 +200,44 @@ def test_coercivity_nonnegative_at_soliton_constant():
         val = coercivity_check(p, v, -6.0)
         assert val >= -1e-9
         assert val == pytest.approx(6.0 * (v.comp[0] ** 2 + v.comp[1] ** 2), abs=1e-9)
+
+
+def test_first_reads_of_a_cached_geometry_race_safely():
+    # threads read ric, M and Rfr of freshly cached geometries in different orders, so the first reads of dfc race
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier, BrokenBarrierError
+
+    from geoverify import curvature
+
+    rng = np.random.default_rng(79)
+    pts = [rand_point(rng) for _ in range(256)]
+    names = ("ric", "M", "Rfr")
+    serial = [[getattr(_build(p), n) for n in names] for p in pts]  # uncached builds leave the cache cold
+    curvature._geometry.cache_clear()
+    geos = [geometry_at(p) for p in pts]  # the shared cached objects, none of their lazy fields formed yet
+    start = Barrier(6)
+
+    def read(k):
+        order, out = names[k % 3 :] + names[: k % 3], []
+        try:
+            for geo in geos:
+                start.wait()  # all threads at the same unformed geometry
+                out.append({n: getattr(geo, n) for n in order})
+        except BrokenBarrierError:
+            return None  # another thread raised, and its error is the one reported
+        except BaseException:
+            start.abort()
+            raise
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            runs = list(pool.map(read, range(6)))
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs:
+        for got, ref in zip(run, serial):
+            assert all(np.array_equal(got[n], r) for n, r in zip(names, ref))

@@ -74,8 +74,9 @@ def test_rotated_frame_is_orthonormal_with_varying_connection(rotated):
     fc = curvature.frame_connection(P)
     assert np.max(np.ptp(fc, axis=0)) > 1.0  # the connection varies over the points
     # R depends on x, s and t, so the build contracts those derivative rows, which are not consecutive
-    assert list(np.arange(4)[curvature._brackets(P).live]) == [0, 2, 3]
-    assert np.max(np.abs(curvature._koszul(curvature._brackets(P).dc))) > 1.0  # dfc, which the build reads
+    geo = curvature.geometry_at(P)
+    assert list(np.arange(4)[geo._live]) == [0, 2, 3]
+    assert np.max(np.abs(geo._dfc)) > 1.0  # dfc, which the curvature and M read
 
 
 def test_curvature_transforms_as_a_tensor(rotated):
@@ -85,6 +86,15 @@ def test_curvature_transforms_as_a_tensor(rotated):
     expected = np.einsum("...ia,ab,...jb->...ij", R, RICCI_FRAME, R)
     assert np.max(np.abs(curvature.ricci_frame(P) - expected)) < TOL
     assert np.max(np.abs(curvature.scalar_curvature(P) - SCALAR_CURVATURE)) < TOL
+
+
+def test_ricci_contraction_matches_the_trace_where_the_connection_varies(rotated):
+    # on F4's own frame dfc = 0, so only here do the e_i(fc) terms of Ricci's own contraction count
+    P, _ = rotated
+    geo = curvature.geometry_at(P)
+    trace = np.einsum("...iaaj->...ij", geo.Rfr)
+    assert np.max(np.abs(geo._dfc)) > 5.0
+    assert np.max(np.abs(geo.ric - trace)) <= 1e-13 * np.max(np.abs(trace))
 
 
 def test_soliton_residual_still_vanishes(rotated):

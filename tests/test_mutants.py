@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from geoverify import chart, harmonic, soliton
+from geoverify import chart, curvature, harmonic, soliton
 from geoverify.chart import coordinate_field
 from geoverify.checks import RunConfig, run_suite
 from geoverify.soliton import SolitonParams
@@ -66,6 +66,21 @@ def _rebased(base: SolitonParams):
     return mutate
 
 
+def _geometry_scaled(name: str, factor: float):
+    """Wrap the geometry build so that its ``name`` array reads ``factor`` times the true one.  Checks build batches,
+    which the single-point geometry cache never holds, so no cached geometry escapes the mutant."""
+
+    def mutate(build):
+        def mutant(p):
+            geo = build(p)
+            vars(geo)[name] = getattr(geo, name) * factor  # where a cached_property keeps what it formed
+            return geo
+
+        return mutant
+
+    return mutate
+
+
 # name: (owner module, attribute, mutation, checks that must fail)
 MUTANTS = {
     "closedness defect x 1.01": (soliton, "_closedness_defect", _scaled(1.01), ["nongradient"]),
@@ -80,6 +95,12 @@ MUTANTS = {
     "horizontal tension x 1.0001": (harmonic, "_horizontal_tension", _scaled(1.0001), ["harmonic-map-witnesses"]),
     "rough Laplacian x 1.5": (harmonic, "_rough_laplacian", _scaled(1.5), ["theorem3", "corollary"]),
     "scalar Laplacian x 3": (soliton, "_scalar_laplacian", _scaled(3.0), ["theorem3", "corollary"]),
+    "Ricci x (1 + 1e-6)": (
+        curvature,
+        "_build",
+        _geometry_scaled("ric", 1.0 + 1e-6),
+        ["lemma2", "theorem1", "coercivity"],
+    ),
 }
 
 
