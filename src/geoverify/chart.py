@@ -39,7 +39,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .jets import _GRAD, _HESS, _SLOTS, NVARS, DomainError, Jet2, _axes, _lift, _require, point_jets, reciprocal, sqrt
+from .jets import _ALL, _GRAD, _HESS, _SLOTS, NVARS, DomainError, Jet2, _axes, _index, _lift, _require, point_jets
+from .jets import reciprocal, sqrt
 
 __all__ = [
     "Point", "as_point", "CoordVector", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field",
@@ -161,8 +162,8 @@ def _jets(f: Callable, p, order: int = 2) -> _JetArrays:
     # results (order="K"), so every contraction downstream loops over the batch, not over length-4 axes
     B = np.zeros((_SLOTS[order], len(entries)) + batch, P.dtype)
     for k, jet in enumerate(entries):
-        if isinstance(jet, Jet2):
-            B[:, k] = _lift(jet.J, batch)
+        if isinstance(jet, Jet2):  # its slots over its own variables, in the dense layout
+            B[slice(None) if jet.V is _ALL else _index(jet.V, _ALL, order), k] = _lift(jet.J, batch)
         else:
             B[0, k] = jet
     parts = ((B[0], shape), (B[_GRAD], (NVARS,) + shape), (B[_HESS], (NVARS, NVARS) + shape))[: order + 1]

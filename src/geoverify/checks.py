@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import FrameVector, as_point, constant_frame_field, coordinate_field, frame_field, metric_jets
+from .chart import FrameVector, _jets, as_point, constant_frame_field, coordinate_field, frame_field, metric_jets
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily, corollary_field
 from .jets import DomainError, _require
@@ -312,10 +312,12 @@ def _check_corollary(cfg: RunConfig, P: np.ndarray):
     shifted = [_perturbed_power_field(slot, exponent + 0.01) for slot in (3, 4) for exponent in exponents]
 
     def block(Q, rows):
-        families = [corollary_field(CorollaryFamily(k, *c[k - 1][rows].T)) for k in (1, 2, 3, 4)]
+        fields = [corollary_field(CorollaryFamily(k, *c[k - 1][rows].T)) for k in (1, 2, 3, 4)] + shifted
         geo = geometry_at(Q)
-        basis = harmonic._coordinate_basis(geo)  # the coordinate fields' Laplacian coefficients, once per block
-        res = [_worst(harmonic._rough_laplacian(geo, *X.component_jets(Q), basis), 1) for X in families + shifted]
+        # the eight fields' jets from one evaluation, the field axis moved to the front: one Laplacian for all
+        jets = _jets(lambda *q: tuple(tuple(f(*q) for f in X.components) for X in fields), Q)
+        basis = harmonic._coordinate_basis(geo)  # the coordinate fields' Laplacian coefficients
+        res = _worst(harmonic._rough_laplacian(geo, *(np.moveaxis(a, -2, 0) for a in jets), basis), 1)
         return [_zero(r, Q) for r in res[:4]] + [_exceeds(r, Q) for r in res[4:]]
 
     return 8 * len(P), _chunked(P, block)

@@ -15,6 +15,8 @@ those in which some first or second derivative of the frame or coframe is
 not exactly zero, NaN and inf counting as nonzero, somewhere in the batch
 (s and t on F4).  The rows left out are exact zeros, so every finite
 result is the full contraction's bit for bit; only a 0*inf or 0*NaN can go.
+A batch's frame jets have no x or y slots, so only a single point's dense
+jets can hold a NaN or inf (0*inf) in those rows, where t under- or overflows.
 
 Sign conventions:
 

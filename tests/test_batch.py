@@ -120,6 +120,23 @@ def test_batched_hessians_are_exactly_symmetric(batch):
 # -- Jet2 with a batch shape -------------------------------------------
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("shape", [(1,), (7,), (300,), (3, 5)])
+def test_batch_rows_equal_single_point_jets_bit_for_bit(shape, order):
+    # a batch's 2-jets carry only the derivatives over the variables they depend on and are scattered into the dense
+    # layout at the end; a single point's jets are dense throughout, so the two routes meet only in _jets' output
+    rng = np.random.default_rng(19)
+    P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], shape + (4,))
+    fields = [soliton.soliton_field(SolitonParams(*rng.uniform(-3.0, 3.0, 5)))]
+    fields += [corollary_field(CorollaryFamily(k, *rng.uniform(-3.0, 3.0, 2))) for k in (1, 2, 3, 4)]
+    forms = [chart._frames, chart._metric, chart._inverse_metric]
+    forms += [lambda *q, X=X: tuple(f(*q) for f in X.components) for X in fields]
+    for f in forms:
+        rows = chart._jets(f, P, order)
+        for i in np.ndindex(shape):
+            assert all(np.array_equal(a[i], b) for a, b in zip(rows, chart._jets(f, P[i], order), strict=True))
+
+
 def test_array_constants_on_either_side_match_per_point_scalars(batch):
     pts, P, rng = batch
     c = rng.uniform(0.5, 2.0, N)
