@@ -172,12 +172,12 @@ def _jets(f: Callable, p, order: int = 2) -> _JetArrays:
 
 def _apply(A: _JetArrays, x: tuple) -> tuple:
     """Jets of A @ x by the product rule, to the order of x's jets; hess's cross term is added to its transpose."""
-    (a, da, d2a), (v, dv, *d2v) = A, x
+    (a, da, *d2a), (v, dv, *d2v) = A, x
     grad = np.einsum("...mij,...j->...mi", da, v) + np.einsum("...ij,...mj->...mi", a, dv)
     if not d2v:
         return np.einsum("...ij,...j->...i", a, v), grad
     cross = np.einsum("...mij,...nj->...mni", da, dv)  # d_m A_ij d_n x_j
-    hess = np.einsum("...mnij,...j->...mni", d2a, v) + np.einsum("...ij,...mnj->...mni", a, d2v[0])
+    hess = np.einsum("...mnij,...j->...mni", d2a[0], v) + np.einsum("...ij,...mnj->...mni", a, d2v[0])
     hess += cross + np.swapaxes(cross, -3, -2)
     return np.einsum("...ij,...j->...i", a, v), grad, hess
 

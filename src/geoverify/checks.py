@@ -36,9 +36,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import FrameVector, _jets, as_point, constant_frame_field, coordinate_field, frame_field, metric_jets
+from .chart import FrameVector, as_point, frame_field, metric_jets
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
-from .harmonic import CorollaryFamily, corollary_field
+from .harmonic import CorollaryFamily
 from .jets import DomainError, _require
 from .soliton import SolitonParams
 
@@ -248,14 +248,14 @@ def _check_nongradient(cfg: RunConfig, P: np.ndarray):
     # constants, so the least-squares member c* comes closest of all, and must stay a margin away relative to D0
     axes = [np.linspace(lo, hi, 5) for lo, hi in zip(cfg.box.lows(), cfg.box.highs())]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    basis = [SolitonParams()] + [SolitonParams(**{f"c{k}": 1.0}) for k in range(1, 6)]
+    basis = soliton.soliton_field(SolitonParams(*np.eye(6, 5, -1).T[..., None]))  # c = 0, then each c_k = 1 alone
     try:
-        metric = metric_jets(grid, order=1)  # once for all six basis fields
-        D = np.array([soliton._closedness_defect(metric, soliton.soliton_field(c), grid).T for c in basis])
-        _require(np.isfinite(D).all(axis=(0, 1)), "non-finite closedness defect")  # D[member, component, point]
+        metric = metric_jets(grid, order=1)  # once for all six basis fields, which meet it as one batch
+        D = soliton._closedness_defect(metric, basis, np.broadcast_to(grid, (6, *grid.shape)))
+        _require(np.isfinite(D).all(axis=(0, 2)), "non-finite closedness defect")  # D[member, point, component]
     except DomainError as exc:  # a grid point left the domain, or no least squares over it means anything: fail there
         return len(P) + len(grid), claims + [_zero([math.nan], [grid[exc.index]])]
-    D = D / max(np.max(np.abs(D)), np.finfo(D.dtype).tiny)  # the ratio is scale-free; unscaled, its squares overflow
+    D = np.moveaxis(D, -1, 1) / max(np.max(np.abs(D)), np.finfo(D.dtype).tiny)  # scale-free; unscaled, squares overflow
     b, A = D[0].ravel(), (D[1:] - D[0]).reshape(5, -1).T
     d = A @ np.linalg.lstsq(A, -b, rcond=None)[0] + b  # the defect of c* at every grid point and component
     norm = np.linalg.norm(b)  # zero: the base member is closed, so the claim fails
@@ -298,26 +298,22 @@ def _check_theorem3(cfg: RunConfig, P: np.ndarray):
     return len(P), _chunked(P, block)
 
 
-def _perturbed_power_field(slot: int, exponent: float):
-    zero = lambda x, y, s, t: 0.0
-    comps = [zero, zero, zero, zero]
-    comps[slot - 1] = lambda x, y, s, t: t**exponent
-    return coordinate_field(*comps)
+def _power_law(exponent: float):
+    return lambda x, y, s, t: t**exponent
 
 
 def _check_corollary(cfg: RunConfig, P: np.ndarray):
     c = [_uniform(cfg, f"corollary/c{k}", -3.0, 3.0, (2,)) for k in (1, 2, 3, 4)]  # per point (c1, c2)
     # the power-law exponents are forced: a shifted exponent must leave a visible residual somewhere
     exponents = (harmonic.EXPONENT_PLUS, harmonic.EXPONENT_MINUS)
-    shifted = [_perturbed_power_field(slot, exponent + 0.01) for slot in (3, 4) for exponent in exponents]
+    shifted = [(_power_law(exponent + 0.01), l) for l in (2, 3) for exponent in exponents]
 
     def block(Q, rows):
-        fields = [corollary_field(CorollaryFamily(k, *c[k - 1][rows].T)) for k in (1, 2, 3, 4)] + shifted
+        # the eight fields f d_l as one stack: one evaluation of their profiles, one Laplacian for all
+        stack = [(harmonic._profile(CorollaryFamily(k, *c[k - 1][rows].T)), k - 1) for k in (1, 2, 3, 4)] + shifted
         geo = geometry_at(Q)
-        # the eight fields' jets from one evaluation, the field axis moved to the front: one Laplacian for all
-        jets = _jets(lambda *q: tuple(tuple(f(*q) for f in X.components) for X in fields), Q)
-        basis = harmonic._coordinate_basis(geo)  # the coordinate fields' Laplacian coefficients
-        res = _worst(harmonic._rough_laplacian(geo, *(np.moveaxis(a, -2, 0) for a in jets), basis), 1)
+        own, _, basis = harmonic._stack(geo, stack, Q)
+        res = _worst(harmonic._rough_laplacian(geo, *own, basis), 1)
         return [_zero(r, Q) for r in res[:4]] + [_exceeds(r, Q) for r in res[4:]]
 
     return 8 * len(P), _chunked(P, block)
@@ -325,28 +321,30 @@ def _check_corollary(cfg: RunConfig, P: np.ndarray):
 
 def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
     comp = _uniform(cfg, "harmonic-map-witnesses/const", -2.0, 2.0, (4,))
-    witnesses = [corollary_field(CorollaryFamily(k, 1.0, 0.0)) for k in (1, 2, 3, 4)]
-    witnesses += [corollary_field(CorollaryFamily(k, 0.0, 1.0)) for k in (1, 2, 3, 4)]
-    witnesses += [constant_frame_field(np.eye(4)[k]) for k in range(4)]
+    # families 1-4 at (c1, c2) = (1, 0) and (0, 1), one stack of fields f d_l; then e1..e4 beside them
+    coordinate = [
+        (harmonic._profile(CorollaryFamily(k, *c)), k - 1) for c in ((1.0, 0.0), (0.0, 1.0)) for k in (1, 2, 3, 4)
+    ]
     n_zero = min(10, len(P))
 
     def block(Q, rows):
         geo = geometry_at(Q)
-        basis = harmonic._coordinate_basis(geo)  # once per block, for the coordinate-basis witnesses
-        tension = lambda X: harmonic._tension(*harmonic._field_data(X, Q, geo, basis)).max_component()
+        own, coframe, basis = harmonic._stack(geo, coordinate, Q)
+        lap = harmonic._rough_laplacian(geo, *own, basis)
+        mags = harmonic._tension(geo, *harmonic._apply(coframe, own[:2]), lap).max_component()
+        # constant frame fields e1..e4, zero and k, the batch innermost: no gradient, so Lap X = X M
+        k, val = comp[rows], np.zeros((6, 4, len(Q))).transpose(0, 2, 1)
+        val[:4], val[5] = np.eye(4)[:, None], k
+        const = harmonic._tension(geo, val, np.zeros((4, 4)), np.einsum("...k,...kj->...j", val, geo.M))
         head = Q[: max(0, n_zero - rows.start)]  # the block's rows among the check's first ten
-        zero_res = tension(constant_frame_field([0.0, 0.0, 0.0, 0.0]))[: len(head)] if len(head) else np.empty(0)
-        mags = [tension(X) for X in witnesses]
-
+        zero_res = const.max_component()[4, : len(head)]
         # expanded quadratic identity for the last tension component
-        k = comp[rows]
-        t4 = harmonic._horizontal_tension(geo, *constant_frame_field(k).frame_component_jets(Q, order=1))[:, 3]
-        quad_res = np.abs(t4 - (2 * k[:, 0] ** 2 + 2 * k[:, 1] ** 2 + 8 * k[:, 2] ** 2 + 8 * k[:, 3] ** 2))
-
+        t4, quad = const.horizontal[5, :, 3], 2 * k[:, 0] ** 2 + 2 * k[:, 1] ** 2 + 8 * k[:, 2] ** 2 + 8 * k[:, 3] ** 2
         # a witness at or below the margin would wrongly pass as a harmonic map
-        return [_zero(zero_res, head)] + [_exceeds(m, Q) for m in mags] + [_zero(quad_res, Q)]
+        mags = np.concatenate([mags, const.max_component()[:4]])
+        return [_zero(zero_res, head)] + [_exceeds(m, Q) for m in mags] + [_zero(np.abs(t4 - quad), Q)]
 
-    return n_zero + len(witnesses) * len(P) + len(P), _chunked(P, block)
+    return n_zero + 12 * len(P) + len(P), _chunked(P, block)
 
 
 def _check_coercivity(cfg: RunConfig, P: np.ndarray):

@@ -18,9 +18,13 @@ A coordinate field X = X_l d_l takes it by the product rule
     Lap X = (Lap X_l) d_l + 2 nabla_{grad X_l} d_l + X_l Lap d_l,
 
 with one set of coefficients per geometry, so its frame components need
-first derivatives only.  The component-system and expanded quadratic
-forms (:func:`harmonic_section_equations`, :func:`horizontal_tension_expanded`)
-re-derive the same quantities from plain s/t partial derivatives, on
+first derivatives only.  The coefficients keep the direction l in front:
+a stack of single-direction fields f_m d_{l_m} (the corollary families,
+the witnesses) evaluates its profiles f_m in one jet evaluation and takes
+each member as a one-component field on the columns of its direction l_m.
+Only the other components' exact zeros drop out, so no bit changes.  The
+component-system and expanded quadratic forms (:func:`harmonic_section_equations`,
+:func:`horizontal_tension_expanded`) re-derive the same quantities from plain s/t partial derivatives, on
 frame components converted to second order, and exist purely as
 independent cross-checks; the section system carries weights
 (1, 1, 1/2, 1/2) relative to the intrinsic Laplacian.
@@ -33,11 +37,12 @@ coordinate directions are provided by :func:`corollary_field`; families
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, _apply, _as_points, _per_point, coordinate_field
+from .chart import AnalyticVectorField, _apply, _as_points, _jets, _per_point, coordinate_field
 from .curvature import _nabla, geometry_at
 from .soliton import _scalar_laplacian
 
@@ -60,6 +65,7 @@ EXPONENT_PLUS = 1.5 + math.sqrt(7.0) / 2.0
 EXPONENT_MINUS = 1.5 - math.sqrt(7.0) / 2.0
 
 _ST_TOL = 1e-12
+_Operator = namedtuple("_Operator", "G v C M")  # Laplacian coefficients, as a Geometry names them
 
 
 class NotSTOnly(ValueError):
@@ -101,41 +107,56 @@ class CorollaryFamily:
             raise ValueError(f"family index must be 1..4, got {self.index}")
 
 
-def corollary_field(fam: CorollaryFamily) -> AnalyticVectorField:
-    """Build the family member as a coordinate-basis field."""
+def _profile(fam: CorollaryFamily):
+    """The family member's one coordinate component, along d/dx, d/dy, d/ds or d/dt for index 1..4."""
     c1, c2 = fam.c1, fam.c2
     if fam.index == 1:
-        profile = lambda x, y, s, t: c1 + c2 * t * t
-    elif fam.index == 2:
-        profile = lambda x, y, s, t: c1 + c2 * t * t / (s * s + t * t) ** 2
-    else:
-        profile = lambda x, y, s, t: c1 * t**EXPONENT_PLUS + c2 * t**EXPONENT_MINUS
-    zero = lambda x, y, s, t: 0.0
-    comps = [zero, zero, zero, zero]
-    comps[fam.index - 1] = profile
+        return lambda x, y, s, t: c1 + c2 * t * t
+    if fam.index == 2:
+        return lambda x, y, s, t: c1 + c2 * t * t / (s * s + t * t) ** 2
+    return lambda x, y, s, t: c1 * t**EXPONENT_PLUS + c2 * t**EXPONENT_MINUS
+
+
+def corollary_field(fam: CorollaryFamily) -> AnalyticVectorField:
+    """Build the family member as a coordinate-basis field."""
+    comps = [lambda x, y, s, t: 0.0] * 4
+    comps[fam.index - 1] = _profile(fam)
     return coordinate_field(*comps)
 
 
 def _coordinate_basis(geo):
-    """The coefficients (T, 2 K, L) of a coordinate field's rough Laplacian on its own component jets, from the
-    coframe jets, which are the frame-component jets of the d_l: T[..., j, l] = th_j(d_l); 2 K[..., a, l, j] =
-    2 G_ab d_b T_jl + C_akj T_kl, so that d_a X_l K[a, l, j] = g(nabla_{grad X_l} d_l, e_j); and L[..., l, j] =
-    g(Lap d_l, e_j), by the frame route of :func:`_rough_laplacian`, l as a leading axis."""
-    T, dT, _ = geo.coframe
-    K2 = np.einsum("...ab,...bjl->...alj", 2 * geo.G, dT) + np.einsum("...akj,...kl->...alj", geo.C, T)
-    L = _rough_laplacian(geo, *(np.einsum("...l->l...", a) for a in geo.coframe))
-    return T, K2, np.einsum("l...j->...lj", L)
+    """The coframe jets, the frame-component jets of the d_l, and the coefficients of a coordinate field's rough
+    Laplacian on its own component jets, d_l's column l the leading axis: T[l, ..., j] = th_j(d_l), dT[l, ..., a, j];
+    2 K[l, ..., a, j] = 2 G_ab d_b T_jl + C_akj T_kl, so that d_a X_l K[l, a, j] = g(nabla_{grad X_l} d_l, e_j); and
+    L[l, ..., j] = g(Lap d_l, e_j) by the frame route of :func:`_rough_laplacian`, over the live rows of dT and d2T
+    and the matching blocks of G, v and C (the other rows are exact zeros)."""
+    live, (T, dT, d2T) = geo._live, (np.einsum("...l->l...", a) for a in geo.coframe)
+    dTL, d2TL, G = dT[..., live, :], d2T[..., live, :, :][..., live, :], geo.G[..., :, live]
+    K2 = np.einsum("...ab,l...bj->l...aj", 2 * G, dTL) + np.einsum("...akj,l...k->l...aj", geo.C, T)
+    rows = _Operator(G[..., live, :], geo.v[..., live], geo.C[..., live, :, :], geo.M)  # not G[..., live, live]
+    return T, dT, K2, _rough_laplacian(rows, T, dTL, d2TL)
 
 
-def _field_data(X: AnalyticVectorField, p, geo=None, basis=None):
-    """The geometry at p (``geo`` if given), X's frame-component jets val[..., k] and grad[..., a, k], to first order,
-    and its rough Laplacian: a coordinate field's by the product rule on its own jets, with ``basis`` (formed here if
-    not given), so that no frame-component Hessian is formed."""
-    geo = geo or geometry_at(p)
+def _field_data(X: AnalyticVectorField, p):
+    """The geometry at p, X's frame-component jets val[..., k] and grad[..., a, k], to first order, and its rough
+    Laplacian: a coordinate field's by the product rule on its own jets, so that no frame-component Hessian forms."""
+    geo = geometry_at(p)
     own = X.component_jets(p)
     if X.basis == "frame":
         return geo, own[0], own[1], _rough_laplacian(geo, *own)
-    return (geo, *_apply(geo.coframe, own[:2]), _rough_laplacian(geo, *own, basis or _coordinate_basis(geo)))
+    _, _, K2, L = _coordinate_basis(geo)
+    basis = geo.coframe[0], np.einsum("l...aj->...alj", K2), np.einsum("l...j->...lj", L)
+    return (geo, *_apply(geo.coframe, own[:2]), _rough_laplacian(geo, *own, basis))
+
+
+def _stack(geo, stack, p):
+    """The fields f_m d_{l_m}, given as (f_m, l_m) pairs, as one-component coordinate fields: the profiles' jets
+    (f, df, d2f)[m, ..., 1] from one evaluation, the member axis in front of the batch-innermost buffer, and their
+    directions' columns, (T, dT) for :func:`_apply` and (T, 2 K, L) for :func:`_rough_laplacian`."""
+    profiles, dirs = zip(*stack)
+    own = [np.moveaxis(a, -2, 0) for a in _jets(lambda *q: tuple((f(*q),) for f in profiles), p)]
+    T, dT, K2, L = (A[list(dirs)] for A in _coordinate_basis(geo))
+    return own, (T[..., None], dT[..., None]), (T[..., None], K2[..., None, :], L[..., None, :])
 
 
 def _require_st_only(grad: np.ndarray):
@@ -146,7 +167,8 @@ def _require_st_only(grad: np.ndarray):
 
 def _rough_laplacian(geo, val, grad, hess, basis=None) -> np.ndarray:
     """Frame components of Lap X from the jets of X's frame components, or of its coordinate components X_l given
-    ``basis = _coordinate_basis(geo)``: Lap(X_l d_l) = (Lap X_l) d_l + 2 nabla_{grad X_l} d_l + X_l Lap d_l."""
+    ``basis``, :func:`_coordinate_basis`'s (T, 2 K, L) with l behind the batch, or the columns of a :func:`_stack`:
+    Lap(X_l d_l) = (Lap X_l) d_l + 2 nabla_{grad X_l} d_l + X_l Lap d_l."""
     T, C, M = basis or (None, geo.C, geo.M)
     lap = _scalar_laplacian(geo, grad, hess)  # each component's
     lap = lap if T is None else np.einsum("...jl,...l->...j", T, lap)

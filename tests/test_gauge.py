@@ -24,7 +24,8 @@ from geoverify.jets import reciprocal
 from geoverify.soliton import SolitonParams
 from geoverify.tables import RICCI_FRAME, SCALAR_CURVATURE, full_curvature_tensor
 
-from oracles import four_row_geometry, frame_hessian_laplacian, product_rule_fields
+from oracles import as_field, four_row_coordinate_basis, four_row_geometry, frame_hessian_laplacian, product_rule_fields
+from oracles import single_direction_stack, stack_route
 
 N = 200
 TOL = 1e-11
@@ -132,3 +133,21 @@ def test_product_rule_laplacian_matches_the_frame_hessian_route(rotated):
     P, _ = rotated
     for X in product_rule_fields(np.random.default_rng(804), (N,)):
         assert np.max(np.abs(harmonic.rough_laplacian(X, P) - frame_hessian_laplacian(X, P))) < 1e-12
+
+
+def test_live_row_coordinate_basis_equals_the_four_row_contraction(rotated):
+    # the live rows are the index array [0, 2, 3] here, whose block of G is not G[..., live, live], the diagonal
+    P, _ = rotated
+    geo = curvature.geometry_at(P)
+    for got, ref in zip(harmonic._coordinate_basis(geo), four_row_coordinate_basis(geo), strict=True):
+        assert np.array_equal(got, ref)
+
+
+def test_stack_members_equal_their_own_fields_bit_for_bit(rotated):
+    P, _ = rotated
+    stack = single_direction_stack(np.random.default_rng(805), (N,))
+    lap, tension = stack_route(P, stack)
+    for m, (f, l) in enumerate(stack):
+        X = as_field(f, l)
+        assert np.array_equal(lap[m], harmonic.rough_laplacian(X, P)), m
+        assert np.array_equal(tension[m], harmonic.horizontal_tension(X, P)), m

@@ -3,6 +3,7 @@ import pytest
 
 from geoverify import chart, checks, harmonic, soliton
 from geoverify.chart import Point, constant_frame_field, coordinate_field, frame_field
+from geoverify.curvature import geometry_at
 from geoverify.harmonic import (
     EXPONENT_MINUS,
     EXPONENT_PLUS,
@@ -17,7 +18,8 @@ from geoverify.harmonic import (
     rough_laplacian,
 )
 
-from oracles import frame_hessian_laplacian, product_rule_fields, rand_point
+from oracles import as_field, four_row_coordinate_basis, frame_hessian_laplacian, product_rule_fields, rand_point
+from oracles import single_direction_stack, stack_route
 
 
 def random_st_polynomial_field(rng):
@@ -262,3 +264,25 @@ def test_primary_routes_form_no_frame_component_hessian(monkeypatch):
     assert 2 not in orders and 1 in orders  # first-order conversions only
     harmonic_section_equations(X, p)  # a cross-check route keeps the full conversion, which the count sees
     assert orders[-1] == 2
+
+
+@pytest.mark.parametrize("batch", [(1,), (7,), (300,)])
+def test_stack_members_equal_their_own_fields_bit_for_bit(batch):
+    # a stack takes each member f d_l on its direction's columns alone: the full basis adds only exact zeros to that
+    rng = np.random.default_rng(54)
+    P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    stack = single_direction_stack(rng, batch)
+    lap, tension = stack_route(P, stack)
+    assert lap.shape == tension.shape == (len(stack),) + batch + (4,)
+    for m, (f, l) in enumerate(stack):
+        X = as_field(f, l)
+        assert np.array_equal(lap[m], rough_laplacian(X, P)), m
+        assert np.array_equal(tension[m], horizontal_tension(X, P)), m
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (300,)])
+def test_live_row_coordinate_basis_equals_the_four_row_contraction(batch):
+    P = np.random.default_rng(55).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    geo = geometry_at(P)
+    for got, ref in zip(harmonic._coordinate_basis(geo), four_row_coordinate_basis(geo), strict=True):
+        assert np.array_equal(got, ref)
