@@ -11,28 +11,19 @@ import ctypes
 
 from .chart import (
     AnalyticVectorField,
-    CoordVector,
     FrameVector,
     Point,
     as_point,
-    constant_coordinate_field,
     constant_frame_field,
     coordinate_field,
-    coframe_matrix,
-    frame_at,
     frame_field,
     frame_matrix,
-    inverse_metric_at,
     metric_at,
-    to_coord,
-    to_frame,
 )
 from .checks import Box, CheckReport, ConfigError, RunConfig, UnknownCheck, CHECK_NAMES, run_all, run_suite
 from .curvature import (
-    christoffel_at,
     coercivity_check,
     frame_connection,
-    metric_compatibility_defect,
     ricci_frame,
     riemann_frame,
     riemann_frame_table,
@@ -52,7 +43,7 @@ from .harmonic import (
     horizontal_tension_expanded,
     rough_laplacian,
 )
-from .jets import DomainError, Jet2, constant, point_jets, reciprocal, seed, sqrt
+from .jets import DomainError, Jet2, point_jets, reciprocal, sqrt
 from .soliton import (
     COMPONENT_PAIRS,
     SOLITON_LAMBDA,
@@ -62,7 +53,6 @@ from .soliton import (
     lie_derivative_metric,
     scalar_laplacian,
     soliton_field,
-    soliton_frame_components,
     soliton_residual,
     soliton_system,
 )

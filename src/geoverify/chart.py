@@ -16,19 +16,14 @@ d/dx) and the metric g = th1^2 + th2^2 + th3^2 + th4^2 has matrix
      [  0,        0,        1/(4t^2),     0 ],
      [  0,        0,           0,     1/(4t^2)]].
 
-The four tables (frame, coframe, metric, inverse metric) are closed forms
-in (x, y, s, t) over the jet arithmetic that form each shared subexpression,
-such as sqrt(t) or 1/t, once and return 4x4 grids; the frame and coframe
-share one.  So the same definitions serve values, gradients and Hessians,
-at one point or at a (..., 4) batch of points in one numpy evaluation.
+The frame, coframe and metric tables are closed forms in (x, y, s, t)
+over the jet arithmetic that form each shared subexpression, such as
+sqrt(t) or 1/t, once and return 4x4 grids; the frame and coframe share
+one.  So the same definitions serve values, gradients and Hessians, at
+one point or at a (..., 4) batch of points in one numpy evaluation.
 ``_jets`` evaluates any such closed form, one returning a jet or constant
 or nested 4-tuples of them, into ``(val, grad, hess)`` arrays, or ``(val,
 grad)`` at order 1, the only jet format that leaves this module.
-
-Vector quantities carry their basis explicitly: :class:`FrameVector`
-components are against (e1..e4), :class:`CoordVector` components against
-(d/dx, d/dy, d/ds, d/dt).  The two are never interchangeable without an
-explicit conversion at a point.
 """
 
 from __future__ import annotations
@@ -43,9 +38,8 @@ from .jets import _ALL, _GRAD, _HESS, _SLOTS, NVARS, DomainError, Jet2, _axes, _
 from .jets import reciprocal, sqrt
 
 __all__ = [
-    "Point", "as_point", "CoordVector", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field",
-    "constant_coordinate_field", "constant_frame_field", "metric_at", "inverse_metric_at", "frame_at", "to_frame",
-    "to_coord",
+    "Point", "as_point", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field", "constant_frame_field",
+    "metric_at",
 ]
 
 
@@ -81,16 +75,6 @@ def as_point(p) -> Point:
 
 
 @dataclass(frozen=True)
-class CoordVector:
-    """Tangent vector components against (d/dx, d/dy, d/ds, d/dt)."""
-
-    comp: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "comp", np.asarray(self.comp, dtype=float))
-
-
-@dataclass(frozen=True)
 class FrameVector:
     """Tangent vector components against the orthonormal frame (e1..e4)."""
 
@@ -98,10 +82,6 @@ class FrameVector:
 
     def __post_init__(self):
         object.__setattr__(self, "comp", np.asarray(self.comp, dtype=float))
-
-    def norm_squared(self) -> float | np.ndarray:
-        # the frame is orthonormal, so |v|_g^2 is the Euclidean square, per point of a batch of vectors
-        return _per_point(np.einsum("...i,...i->...", self.comp, self.comp))
 
 
 Component = Callable[..., object]  # (x, y, s, t) -> float | per-point ndarray | Jet2
@@ -125,12 +105,6 @@ def _metric(x, y, s, t):
     it = reciprocal(t)
     u, q = -s * it, reciprocal(4 * t**2)  # not it**2 / 4: where t^2 underflows, a domain error, not inf
     return (it, u, 0.0, 0.0), (u, t - s * u, 0.0, 0.0), (0.0, 0.0, q, 0.0), (0.0, 0.0, 0.0, q)
-
-
-def _inverse_metric(x, y, s, t):
-    it = reciprocal(t)
-    u, q = s * it, 4 * t**2
-    return (t + s * u, u, 0.0, 0.0), (u, it, 0.0, 0.0), (0.0, 0.0, q, 0.0), (0.0, 0.0, 0.0, q)
 
 
 _JetArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # (val, grad, hess): batch axes, derivative indices, entry
@@ -192,27 +166,13 @@ def metric_at(p) -> np.ndarray:
     return metric_jets(p)[0]
 
 
-def inverse_metric_at(p) -> np.ndarray:
-    """Coordinate inverse metric matrix (4x4) at p."""
-    return inverse_metric_jets(p)[0]
-
-
 def frame_matrix(p) -> np.ndarray:
     """Rows are the coordinate components of e1..e4 at p."""
     return frame_jets(p)[0]
 
 
-def coframe_matrix(p) -> np.ndarray:
-    """Rows are the covector components of th1..th4 at p."""
-    return coframe_jets(p)[0]
-
-
 def metric_jets(p, order: int = 2) -> _JetArrays:
     return _jets(_metric, p, order)
-
-
-def inverse_metric_jets(p) -> _JetArrays:
-    return _jets(_inverse_metric, p)
 
 
 def frame_jets(p, coframe: bool = False) -> _JetArrays:
@@ -223,22 +183,6 @@ def frame_jets(p, coframe: bool = False) -> _JetArrays:
 
 def coframe_jets(p) -> _JetArrays:
     return tuple(a[..., 1, :, :] for a in _jets(_frames, p))
-
-
-def frame_at(p) -> tuple[CoordVector, CoordVector, CoordVector, CoordVector]:
-    """The four frame vectors e1..e4 as coordinate vectors at p."""
-    E = frame_matrix(p)
-    return tuple(CoordVector(E[i]) for i in range(4))
-
-
-def to_frame(v: CoordVector, p) -> FrameVector:
-    """Express a coordinate vector in the orthonormal frame at p."""
-    return FrameVector(coframe_matrix(p) @ v.comp)
-
-
-def to_coord(v: FrameVector, p) -> CoordVector:
-    """Express a frame vector in the coordinate basis at p."""
-    return CoordVector(frame_matrix(p).T @ v.comp)
 
 
 @dataclass(frozen=True)
@@ -277,12 +221,6 @@ class AnalyticVectorField:
             return own
         return _apply(tuple(np.swapaxes(E, -1, -2) for E in frame_jets(p)), own)
 
-    def frame_values(self, p) -> np.ndarray:
-        return self.frame_component_jets(p)[0]
-
-    def coordinate_values(self, p) -> np.ndarray:
-        return self.coordinate_component_jets(p)[0]
-
 
 def coordinate_field(fx: Component, fy: Component, fs: Component, ft: Component) -> AnalyticVectorField:
     return AnalyticVectorField((fx, fy, fs, ft), "coordinate")
@@ -290,11 +228,6 @@ def coordinate_field(fx: Component, fy: Component, fs: Component, ft: Component)
 
 def frame_field(f1: Component, f2: Component, f3: Component, f4: Component) -> AnalyticVectorField:
     return AnalyticVectorField((f1, f2, f3, f4), "frame")
-
-
-def constant_coordinate_field(comp) -> AnalyticVectorField:
-    """Components comp[..., k]: one constant vector, or one per point of a batch."""
-    return coordinate_field(*map(_const, np.moveaxis(np.asarray(comp, dtype=float), -1, 0)))
 
 
 def constant_frame_field(comp) -> AnalyticVectorField:

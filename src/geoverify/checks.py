@@ -90,7 +90,6 @@ class RunConfig:
     tol: float = 1e-9
     box: Box = field(default_factory=Box)
     soliton_params: Optional[SolitonParams] = None
-    output: Optional[str] = None  # path for reports; None means stdout
 
     def validate(self):
         if not 0 <= self.seed < 2**32:  # the Philox key holds 32 bits of seed: a wider one would repeat a stream

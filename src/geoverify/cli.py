@@ -3,13 +3,15 @@
 Prints one report per check (JSON lines by default, or human-readable
 summaries when the JSON goes to a file via ``--json``).  Exit code 0
 when every requested check passes, 1 when any fails, 2 on usage or
-configuration errors.  ``GEOVERIFY_SEED`` supplies the seed when
-``--seed`` is absent.
+configuration errors, an unwritable ``--json`` path among them, which
+are reported before any check runs.  ``GEOVERIFY_SEED`` supplies the
+seed when ``--seed`` is absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -63,40 +65,38 @@ def _make_config(args) -> RunConfig:
         lam = args.lam if args.lam is not None else SolitonParams().lam
         params = SolitonParams(*constants, lam=lam)
 
-    return RunConfig(
-        seed=seed,
-        points=args.points,
-        tol=args.tol,
-        box=box,
-        soliton_params=params,
-        output=args.json_path,
-    )
+    cfg = RunConfig(seed=seed, points=args.points, tol=args.tol, box=box, soliton_params=params)
+    cfg.validate()
+    return cfg
 
 
-def _emit(reports: list[CheckReport], json_path: str | None):
-    if json_path is None:
+def _emit(reports: list[CheckReport], fh):
+    if fh is None:
         for rep in reports:
             print(rep.to_json())
     else:
-        with open(json_path, "w") as fh:
-            for rep in reports:
-                fh.write(rep.to_json() + "\n")
+        for rep in reports:
+            fh.write(rep.to_json() + "\n")
         for rep in reports:
             print(rep.summary())
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    try:
+    try:  # every usage error comes before any check runs, and none truncates an earlier report file
         cfg = _make_config(args)
-        if args.check == "all":
-            reports = run_all(cfg)
-        else:
-            reports = [run_suite(args.check, cfg)]
+        if args.check not in ("all", *CHECK_NAMES):
+            raise UnknownCheck(f"unknown check {args.check!r}; known: {', '.join(CHECK_NAMES)}")
+        fh = None if args.json_path is None else open(args.json_path, "w")
     except (ConfigError, UnknownCheck) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(reports, cfg.output)
+    except OSError as exc:
+        print(f"error: cannot write {args.json_path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with fh or contextlib.nullcontext():
+        reports = run_all(cfg) if args.check == "all" else [run_suite(args.check, cfg)]
+        _emit(reports, fh)
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -31,11 +31,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .chart import FrameVector, _per_point, as_point, frame_jets, inverse_metric_jets, metric_jets
+from .chart import FrameVector, _per_point, as_point, frame_jets
 
 __all__ = [
-    "christoffel_at",
-    "metric_compatibility_defect",
     "frame_connection",
     "riemann_frame",
     "riemann_frame_table",
@@ -162,25 +160,6 @@ def _nabla(geo: Geometry, val, grad) -> np.ndarray:
     """A[..., i, j] = g(nabla_{e_i} X, e_j) from the frame-component jets val[..., k], grad[..., a, k] of X."""
     # an einsum, not E @ grad: a matmul puts the batch outermost, which slows every sum over its result
     return np.einsum("...ia,...ak->...ik", geo.E, grad) + np.einsum("...k,...ikj->...ij", val, geo.fc)
-
-
-def _christoffel(p):
-    """Metric jets g, dg and Gamma^c_ab = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab); no check reads them."""
-    g, dg, _ = metric_jets(p)
-    S = dg + np.swapaxes(dg, -3, -2) - np.swapaxes(dg, -3, -1)  # S[a,b,d]
-    return g, dg, 0.5 * np.einsum("...cd,...abd->...cab", inverse_metric_jets(p)[0], S)
-
-
-def christoffel_at(p) -> np.ndarray:
-    """Coordinate Christoffel symbols, indexed [..., k, i, j] = Gamma^k_ij."""
-    return _christoffel(p)[2]
-
-
-def metric_compatibility_defect(p) -> float | np.ndarray:
-    """Max component of nabla g at p, per point; vanishes for the Levi-Civita connection."""
-    g, dg, G = _christoffel(p)
-    nabla_g = dg - np.einsum("...dab,...dc->...abc", G, g) - np.einsum("...dac,...bd->...abc", G, g)
-    return _per_point(np.max(np.abs(nabla_g), axis=(-3, -2, -1)))
 
 
 def frame_connection(p) -> np.ndarray:

@@ -41,7 +41,7 @@ _SLOTS = {1: 1 + NVARS, 2: NSLOTS}  # packed slots of a dense jet of each order
 _GRAD, _HESS, _SQUARE = slice(1, 1 + NVARS), slice(1 + NVARS, NSLOTS), (NVARS, NVARS)
 _ALL, _OWN = tuple(range(NVARS)), tuple((k,) for k in range(NVARS))  # a dense jet's variables; a coordinate's own
 
-__all__ = ["DomainError", "Jet2", "seed", "constant", "point_jets", "sqrt", "reciprocal"]
+__all__ = ["DomainError", "Jet2", "point_jets", "sqrt", "reciprocal"]
 
 
 class DomainError(ValueError):
@@ -222,21 +222,6 @@ def _compose(f: Jet2, h0, h1, h2) -> Jet2:
         H = J[n:]
         H += (h2 * (g[:, None] * g[None, :])).reshape(H.shape)  # the outer product is exactly symmetric
     return Jet2(J, f.V)
-
-
-def seed(p, k: int) -> Jet2:
-    """Jet of the k-th coordinate function (0=x, 1=y, 2=s, 3=t) at a point or a (..., 4) batch p."""
-    if not 0 <= k < NVARS:
-        raise ValueError(f"variable index {k} out of range")
-    return point_jets(p)[k]
-
-
-def constant(c) -> Jet2:
-    """Jet of a constant: a float, or an ndarray with one value per point of a batch."""
-    c = np.asarray(c)
-    J = np.zeros((NSLOTS,) + c.shape, np.result_type(c, 0.0))
-    J[0] = c
-    return Jet2(J)
 
 
 def point_jets(p, order: int = 2) -> tuple[Jet2, Jet2, Jet2, Jet2]:

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, _jets, _per_point, coordinate_field, frame_field, metric_jets
+from .chart import AnalyticVectorField, _jets, _per_point, coordinate_field, metric_jets
 from .curvature import _nabla, geometry_at
-from .jets import sqrt
 
 __all__ = [
     "SolitonParams",
     "SOLITON_LAMBDA",
     "soliton_field",
-    "soliton_frame_components",
     "beta_matrix",
     "lie_derivative_metric",
     "soliton_residual",
@@ -78,29 +76,6 @@ def soliton_field(params: SolitonParams) -> AnalyticVectorField:
         lambda x, y, s, t: 0.5 * (c1 * (s * s - t * t) + 2.0 * c2 * s + 2.0 * c3),
         lambda x, y, s, t: (c1 * s + c2) * t,
     )
-
-
-def soliton_frame_components(params: SolitonParams) -> AnalyticVectorField:
-    """The same family written directly in frame components (for cross-checks)."""
-    c1, c2, c3, c4, c5 = params.constants()
-
-    def a1(x, y, s, t):
-        return (
-            0.5
-            / sqrt(t)
-            * ((c2 - 12.0) * x + 2.0 * c3 * y + 2.0 * c5 + s * (c1 * x + (c2 + 12.0) * y - 2.0 * c4))
-        )
-
-    def a2(x, y, s, t):
-        return -0.5 * sqrt(t) * (c1 * x + (c2 + 12.0) * y - 2.0 * c4)
-
-    def a3(x, y, s, t):
-        return (c1 * (s * s - t * t) + 2.0 * c2 * s + 2.0 * c3) / (4.0 * t)
-
-    def a4(x, y, s, t):
-        return 0.5 * (c1 * s + c2)
-
-    return frame_field(a1, a2, a3, a4)
 
 
 def beta_matrix(xi: AnalyticVectorField, p) -> np.ndarray:

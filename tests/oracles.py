@@ -3,9 +3,12 @@
 The oracles deliberately avoid the jet pipeline: derivatives come from
 central differences on plain float evaluation, so agreement with the
 package is a two-route check, not a tautology.  The reference routes at
-the end do use the jets: the full four-row geometry and coordinate-basis
-contractions and the frame-Hessian rough Laplacian are the second routes
-for the live-direction contractions and the product-rule Laplacian.
+the end do use the jets: the coordinate Christoffel symbols are the metric
+route to the Laplacian's coefficients, the soliton family's hand-written
+frame components the second route for the basis conversion, and the full
+four-row geometry and coordinate-basis contractions and the frame-Hessian
+rough Laplacian are the second routes for the live-direction contractions
+and the product-rule Laplacian.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import math
 
 import numpy as np
 
-from geoverify.chart import Point, _apply, coframe_jets, coordinate_field, frame_jets
+from geoverify.chart import Point, _apply, coframe_jets, coordinate_field, frame_field, frame_jets, metric_jets
 from geoverify.curvature import geometry_at
 from geoverify.harmonic import CorollaryFamily, _horizontal_tension, _profile, _rough_laplacian, _stack, corollary_field
+from geoverify.jets import sqrt
 from geoverify.soliton import SolitonParams, soliton_field
 
 GRAD_STEP = 1e-4
@@ -218,6 +222,27 @@ def tame_expression_at(rng: np.random.Generator, bound: float = 200.0):
         mags = (abs(jet.value), float(np.max(np.abs(jet.grad))), float(np.max(np.abs(jet.hess))))
         if math.isfinite(sum(mags)) and max(mags) <= bound:
             return expr, p, jet
+
+
+def christoffel(p):
+    """Metric jets g, dg and Gamma^c_ab = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab), indexed [..., c, a, b], at a
+    point or a (..., 4) batch: the chart's metric jets contracted with the independent inverse metric."""
+    g, dg, _ = metric_jets(p)
+    ginv = np.reshape([inverse_metric_entries(*q) for q in np.reshape(np.asarray(tuple(p)), (-1, 4))], g.shape)
+    S = dg + np.swapaxes(dg, -3, -2) - np.swapaxes(dg, -3, -1)  # S[a,b,d]
+    return g, dg, 0.5 * np.einsum("...cd,...abd->...cab", ginv, S)
+
+
+def soliton_frame_components(params: SolitonParams):
+    """The soliton family of :func:`geoverify.soliton.soliton_field` written directly in frame components."""
+    c1, c2, c3, c4, c5 = params.constants()
+    u = lambda x, y: c1 * x + (c2 + 12.0) * y - 2.0 * c4  # -2 xi^y
+    return frame_field(
+        lambda x, y, s, t: 0.5 / sqrt(t) * ((c2 - 12.0) * x + 2.0 * c3 * y + 2.0 * c5 + s * u(x, y)),
+        lambda x, y, s, t: -0.5 * sqrt(t) * u(x, y),
+        lambda x, y, s, t: (c1 * (s * s - t * t) + 2.0 * c2 * s + 2.0 * c3) / (4.0 * t),
+        lambda x, y, s, t: 0.5 * (c1 * s + c2),
+    )
 
 
 def four_row_geometry(P) -> dict:

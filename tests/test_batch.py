@@ -55,8 +55,6 @@ def test_geometry_batch_matches_single_points(batch):
     for k in range(3):  # the carried coframe jets
         assert_batch_matches(geo.coframe[k], [curvature.geometry_at(p).coframe[k] for p in pts])
     for fn in (
-        curvature.christoffel_at,
-        curvature.metric_compatibility_defect,
         curvature.frame_connection,
         curvature.ricci_frame,
         curvature.riemann_frame_table,
@@ -113,7 +111,7 @@ def test_batched_hessians_are_exactly_symmetric(batch):
     for X in (xy_field(), corollary_field(CorollaryFamily(3, 1.2, -0.7))):
         _, _, hess = X.frame_component_jets(P)  # [point, a, b, component]
         assert np.array_equal(hess, np.swapaxes(hess, -3, -2))
-    _, _, d2g = curvature.metric_jets(P)  # [point, m, n, a, b]
+    _, _, d2g = chart.metric_jets(P)  # [point, m, n, a, b]
     assert np.array_equal(d2g, np.swapaxes(d2g, 1, 2))
 
 
@@ -129,7 +127,7 @@ def test_batch_rows_equal_single_point_jets_bit_for_bit(shape, order):
     P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], shape + (4,))
     fields = [soliton.soliton_field(SolitonParams(*rng.uniform(-3.0, 3.0, 5)))]
     fields += [corollary_field(CorollaryFamily(k, *rng.uniform(-3.0, 3.0, 2))) for k in (1, 2, 3, 4)]
-    forms = [chart._frames, chart._metric, chart._inverse_metric]
+    forms = [chart._frames, chart._metric]
     forms += [lambda *q, X=X: tuple(f(*q) for f in X.components) for X in fields]
     for f in forms:
         rows = chart._jets(f, P, order)
@@ -234,9 +232,8 @@ def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
     builds, coframes, metrics, build_jets = [], [], [], []
     build, coframe_jets = curvature._build, chart.coframe_jets
     monkeypatch.setattr(curvature, "_build", lambda p: builds.append(np.shape(p)) or build(p))
-    for fn in ("metric_jets", "inverse_metric_jets", "frame_jets"):
-        record = lambda p, fn=fn, f=getattr(chart, fn), **kw: build_jets.append((fn, kw)) or f(p, **kw)
-        monkeypatch.setattr(curvature, fn, record)
+    record = lambda p, f=chart.frame_jets, **kw: build_jets.append(("frame_jets", kw)) or f(p, **kw)
+    monkeypatch.setattr(curvature, "frame_jets", record)
     monkeypatch.setattr(chart, "coframe_jets", lambda p: coframes.append(np.shape(p)) or coframe_jets(p))
     metric_jets = lambda p, **kw: metrics.append(np.shape(p)) or chart.metric_jets(p, **kw)
     monkeypatch.setattr(soliton, "metric_jets", metric_jets)
@@ -251,5 +248,5 @@ def test_checks_build_geometry_once_and_never_per_point(name, monkeypatch):
     assert coframes == []
     # outside a geometry build, nongradient evaluates the metric once on its sampled rows and once on its grid
     assert sorted(int(np.prod(shape[:-1])) for shape in metrics) == ([50, 625] if name == "nongradient" else [])
-    # the build works in the frame: one evaluation of the frame and coframe together, no metric or inverse-metric jets
-    assert build_jets == [("frame_jets", {"coframe": True})] * len(builds)
+    # the build works in the frame: one evaluation of the frame and coframe together, and it reads no metric jets
+    assert build_jets == [("frame_jets", {"coframe": True})] * len(builds) and not hasattr(curvature, "metric_jets")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geoverify import checks
+from geoverify import checks, cli
 from geoverify.chart import Point
 from geoverify.checks import (
     CHECK_NAMES,
@@ -280,6 +280,21 @@ def test_cli_json_file(tmp_path, capsys):
     assert json.loads(lines[0])["check_name"] == "lemma1"
     # stdout carries the human summary instead
     assert "lemma1: PASS" in capsys.readouterr().out
+
+
+def test_an_unwritable_json_path_is_a_usage_error_before_any_check_runs(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "run_all", lambda *args: ran.append(args))
+    for path, reason in ((tmp_path / "missing" / "r.jsonl", "No such file or directory"), (tmp_path, "Is a directory")):
+        for check in ("lemma1", "all"):
+            assert main([check, "--points", "5", "--json", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+    # and the other usage errors leave an earlier report file as it was
+    kept = tmp_path / "r.jsonl"
+    kept.write_text("kept\n")
+    assert main(["lemma", "--json", str(kept)]) == 2 and main(["lemma1", "--points", "0", "--json", str(kept)]) == 2
+    assert kept.read_text() == "kept\n" and ran == []
 
 
 def test_cli_env_seed(monkeypatch, capsys):

@@ -24,8 +24,8 @@ from geoverify.jets import reciprocal
 from geoverify.soliton import SolitonParams
 from geoverify.tables import RICCI_FRAME, SCALAR_CURVATURE, full_curvature_tensor
 
-from oracles import as_field, four_row_coordinate_basis, four_row_geometry, frame_hessian_laplacian, product_rule_fields
-from oracles import single_direction_stack, stack_route
+from oracles import as_field, christoffel, four_row_coordinate_basis, four_row_geometry, frame_hessian_laplacian
+from oracles import inverse_metric_entries, product_rule_fields, single_direction_stack, stack_route
 
 N = 200
 TOL = 1e-11
@@ -67,7 +67,7 @@ def test_rotated_frame_is_orthonormal_with_varying_connection(rotated):
     P, R = rotated
     E, T = chart.frame_jets(P)[0], chart.coframe_jets(P)[0]
     assert np.max(np.abs(T @ np.swapaxes(E, -1, -2) - np.eye(4))) < TOL
-    assert np.max(np.abs(np.swapaxes(E, -1, -2) @ E - chart.inverse_metric_jets(P)[0])) < TOL
+    assert np.max(np.abs(np.swapaxes(E, -1, -2) @ E - [inverse_metric_entries(*p) for p in P])) < TOL
     # the build reads the rotated frame, not the chart's: its E is R times the unrotated rows
     unrotated = chart._jets(lambda *q: _frames(*q)[0], P)[0]
     assert np.max(np.abs(E - R @ unrotated)) < TOL and np.max(np.abs(E - unrotated)) > 0.1
@@ -108,9 +108,9 @@ def test_soliton_residual_still_vanishes(rotated):
 def test_scalar_laplacian_coefficients_do_not_depend_on_the_frame(rotated):
     # the metric closed forms are not rotated, so the metric route gives the unrotated operator
     P, _ = rotated
-    geo = curvature.geometry_at(P)
-    assert np.max(np.abs(geo.G - chart.inverse_metric_jets(P)[0])) < TOL
-    drift = -np.einsum("...ab,...cab->...c", chart.inverse_metric_at(P), curvature.christoffel_at(P))
+    geo, ginv = curvature.geometry_at(P), np.array([inverse_metric_entries(*p) for p in P])
+    assert np.max(np.abs(geo.G - ginv)) < TOL
+    drift = -np.einsum("...ab,...cab->...c", ginv, christoffel(P)[2])
     assert np.max(np.abs(geo.v - drift)) < TOL
 
 

@@ -67,14 +67,14 @@ def test_rough_laplacian_kills_first_family():
 def test_corollary_field_reference_forms():
     p = Point(0.7, -0.2, 1.1, 1.6)
     f1 = corollary_field(CorollaryFamily(1, 1.0, 0.0))
-    np.testing.assert_allclose(f1.coordinate_values(p), [1.0, 0.0, 0.0, 0.0], atol=0)
+    np.testing.assert_allclose(f1.coordinate_component_jets(p)[0], [1.0, 0.0, 0.0, 0.0], atol=0)
 
     f2 = corollary_field(CorollaryFamily(2, 1.0, 0.0))
-    np.testing.assert_allclose(f2.coordinate_values(p), [0.0, 1.0, 0.0, 0.0], atol=0)
+    np.testing.assert_allclose(f2.coordinate_component_jets(p)[0], [0.0, 1.0, 0.0, 0.0], atol=0)
 
     f4 = corollary_field(CorollaryFamily(4, 1.0, 0.0))
     np.testing.assert_allclose(
-        f4.coordinate_values(p), [0.0, 0.0, 0.0, p.t**EXPONENT_PLUS], atol=1e-13
+        f4.coordinate_component_jets(p)[0], [0.0, 0.0, 0.0, p.t**EXPONENT_PLUS], atol=1e-13
     )
 
 

@@ -4,7 +4,9 @@ Each mutant replaces one kernel, constant or closed-form table entry by a
 slightly wrong one, and names a check that must then fail at the default
 configuration.  A ``from ... import`` makes a second binding of a name,
 which patching the defining module alone would miss, so every mutant is
-applied to every geoverify module that binds the original object.
+applied to every geoverify module that binds the original object.  The
+mutants that no check kills yet are listed apart, with the reason, and
+must keep passing every check: the day one dies, it moves to the killed.
 """
 
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 from geoverify import chart, curvature, harmonic, soliton
 from geoverify.chart import coordinate_field
-from geoverify.checks import RunConfig, run_suite
+from geoverify.checks import RunConfig, run_all, run_suite
 from geoverify.soliton import SolitonParams
 
 CFG = RunConfig(points=20)
@@ -81,6 +83,19 @@ def _geometry_scaled(name: str, factor: float):
     return mutate
 
 
+def _tension_scaled(factor: float):
+    """Scale both parts of the tension value the harmonic-map kernel returns."""
+
+    def mutate(f):
+        def mutant(*args):
+            tension = f(*args)
+            return harmonic.TensionValue(factor * tension.horizontal, factor * tension.vertical)
+
+        return mutant
+
+    return mutate
+
+
 # name: (owner module, attribute, mutation, checks that must fail)
 MUTANTS = {
     "closedness defect x 1.01": (soliton, "_closedness_defect", _scaled(1.01), ["nongradient"]),
@@ -101,6 +116,29 @@ MUTANTS = {
         _geometry_scaled("ric", 1.0 + 1e-6),
         ["lemma2", "theorem1", "coercivity"],
     ),
+    "G x (1 + 1e-6)": (curvature, "_build", _geometry_scaled("G", 1.0 + 1e-6), ["corollary", "theorem3"]),
+    "C x (1 + 1e-6)": (curvature, "_build", _geometry_scaled("C", 1.0 + 1e-6), ["corollary", "theorem3"]),
+    "M x (1 + 1e-6)": (curvature, "_build", _geometry_scaled("M", 1.0 + 1e-6), ["corollary", "theorem3"]),
+    "Rfr x (1 + 1e-6)": (
+        curvature,
+        "_build",
+        _geometry_scaled("Rfr", 1.0 + 1e-6),
+        ["harmonic-map-witnesses", "riemc"],
+    ),
+    "fc x (1 + 1e-6)": (
+        curvature,
+        "_build",
+        _geometry_scaled("fc", 1.0 + 1e-6),
+        ["coercivity", "corollary", "harmonic-map-witnesses", "lemma1", "lemma2", "riemc", "theorem1", "theorem3"],
+    ),
+    "tension x 0.5": (harmonic, "_tension", _tension_scaled(0.5), ["harmonic-map-witnesses"]),
+}
+
+# name: (owner module, attribute, mutation, why no check kills it yet)
+SURVIVORS = {
+    # dfc multiplies e_i(fc) in Rfr, ric and M, and fc is constant in F4's left-invariant frame
+    "dfc := 0": (curvature, "_build", _geometry_scaled("_dfc", 0.0), "dfc = 0 on F4's own frame"),
+    "dfc x 1.001": (curvature, "_build", _geometry_scaled("_dfc", 1.001), "dfc = 0 on F4's own frame"),
 }
 
 
@@ -111,6 +149,14 @@ def test_mutant_is_killed(name, monkeypatch):
     assert _patch_everywhere(monkeypatch, owner, attribute, mutate) >= 1
     for check in killers:
         assert not run_suite(check, CFG).passed, f"{name} survives {check}"
+
+
+@pytest.mark.parametrize("name", SURVIVORS)
+def test_survivor_still_passes_every_check(name, monkeypatch):
+    owner, attribute, mutate, reason = SURVIVORS[name]
+    assert _patch_everywhere(monkeypatch, owner, attribute, mutate) >= 1
+    failing = [report.check_name for report in run_all(CFG) if not report.passed]
+    assert failing == [], f"{name} ({reason}) now dies in {failing}: move it to MUTANTS"
 
 
 def test_a_closed_base_member_fails_nongradient_without_a_warning(monkeypatch):
