@@ -11,9 +11,7 @@ import ctypes
 
 from .chart import (
     AnalyticVectorField,
-    FrameVector,
     Point,
-    as_point,
     constant_frame_field,
     coordinate_field,
     frame_field,

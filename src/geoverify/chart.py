@@ -38,14 +38,15 @@ from .jets import _ALL, _GRAD, _HESS, _SLOTS, NVARS, DomainError, Jet2, _axes, _
 from .jets import reciprocal, sqrt
 
 __all__ = [
-    "Point", "as_point", "FrameVector", "AnalyticVectorField", "coordinate_field", "frame_field", "constant_frame_field",
-    "metric_at",
+    "Point", "AnalyticVectorField", "coordinate_field", "frame_field", "constant_frame_field", "metric_at",
+    "frame_matrix",
 ]
 
 
 @dataclass(frozen=True)
 class Point:
-    """A chart point; construction enforces the domain conditions: finite coordinates and t > 0."""
+    """A chart point, its coordinates as given (a floating dtype, such as np.longdouble, reaches every result);
+    construction enforces the domain conditions: finite coordinates and t > 0."""
 
     x: float
     y: float
@@ -53,8 +54,6 @@ class Point:
     t: float
 
     def __post_init__(self):
-        for name in ("x", "y", "s", "t"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         if not (all(map(math.isfinite, self.astuple())) and self.t > 0.0):
             raise DomainError(f"chart requires finite coordinates and t > 0, got {self}")
 
@@ -63,25 +62,6 @@ class Point:
 
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.s, self.t)
-
-
-def as_point(p) -> Point:
-    """Coerce a Point or a length-4 sequence to a Point (validates the domain and the length)."""
-    if isinstance(p, Point):
-        return p
-    if len(p) != 4:
-        raise ValueError(f"a chart point has 4 coordinates, got shape {np.shape(p)}")
-    return Point(p[0], p[1], p[2], p[3])
-
-
-@dataclass(frozen=True)
-class FrameVector:
-    """Tangent vector components against the orthonormal frame (e1..e4)."""
-
-    comp: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "comp", np.asarray(self.comp, dtype=float))
 
 
 Component = Callable[..., object]  # (x, y, s, t) -> float | per-point ndarray | Jet2
@@ -111,8 +91,10 @@ _JetArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # (val, grad, hess): bat
 
 
 def _as_points(p) -> np.ndarray:
-    """A Point or a (..., 4) array-like of points as a float array; a domain error names the first bad row."""
-    P = np.array(p.astuple()) if isinstance(p, Point) else np.asarray(p, dtype=float)
+    """A Point or a (..., 4) array-like of points as an array in its own floating dtype, any other input (integers,
+    objects) as float64; a domain error names the first bad row."""
+    P = np.asarray(p.astuple() if isinstance(p, Point) else p)
+    P = P if P.dtype.kind == "f" else P.astype(float)
     if P.shape[-1:] != (4,):
         raise ValueError(f"a chart point has 4 coordinates, got shape {P.shape}")
     ok = P[..., 3] > 0.0  # finiteness row by row is a slow reduction over length-4 rows: only where some entry fails
@@ -154,11 +136,6 @@ def _apply(A: _JetArrays, x: tuple) -> tuple:
     hess = np.einsum("...mnij,...j->...mni", d2a[0], v) + np.einsum("...ij,...mnj->...mni", a, d2v[0])
     hess += cross + np.swapaxes(cross, -3, -2)
     return np.einsum("...ij,...j->...i", a, v), grad, hess
-
-
-def _per_point(a):
-    """A per-point scalar result: a float for a single point, the array for a batch."""
-    return float(a) if np.ndim(a) == 0 else a
 
 
 def metric_at(p) -> np.ndarray:
@@ -232,4 +209,4 @@ def frame_field(f1: Component, f2: Component, f3: Component, f4: Component) -> A
 
 def constant_frame_field(comp) -> AnalyticVectorField:
     """Components comp[..., k]: one constant vector, or one per point of a batch."""
-    return frame_field(*map(_const, np.moveaxis(np.asarray(comp, dtype=float), -1, 0)))
+    return frame_field(*map(_const, np.moveaxis(np.asarray(comp), -1, 0)))

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import FrameVector, as_point, frame_field, metric_jets
+from .chart import _jets, frame_field, metric_jets
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily
 from .jets import DomainError, _require
@@ -267,9 +267,13 @@ def _check_harmonic_components(cfg: RunConfig, P: np.ndarray):
     c, _ = _params(cfg, "harmonic-components")
 
     def block(Q, rows):
+        geo = geometry_at(Q)
         _, grad, hess = soliton.soliton_field(SolitonParams(*c[rows].T)).component_jets(Q)
-        laplacians = soliton._scalar_laplacian(geometry_at(Q), grad, hess)  # one scalar Laplacian per component
-        return [_zero(_worst(laplacians, 1), Q)]
+        laplacians = soliton._scalar_laplacian(geo, grad, hess)  # one scalar Laplacian per component
+        # the control, through the same kernel: Lap(t^2) = 8 t^2, which a Laplacian that reads 0 everywhere misses
+        _, grad, hess = _jets(lambda x, y, s, t: (t * t,), Q)
+        control = soliton._scalar_laplacian(geo, grad, hess)[:, 0] - 8.0 * Q[:, 3] ** 2
+        return [_zero(_worst(laplacians, 1), Q), _zero(np.abs(control), Q)]
 
     return len(P), _chunked(P, block)
 
@@ -350,7 +354,7 @@ def _check_coercivity(cfg: RunConfig, P: np.ndarray):
     vs = _uniform(cfg, "coercivity/vectors", -3.0, 3.0, (10, 4))  # [point, vector, component]
 
     def block(Q, rows):
-        got = coercivity_check(Q[:, None], FrameVector(vs[rows]), soliton.SOLITON_LAMBDA)  # (n, 1) meets (n, 10)
+        got = coercivity_check(Q[:, None], vs[rows], soliton.SOLITON_LAMBDA)  # (n, 1) meets (n, 10)
         return [_zero(np.max(np.abs(got - 6.0 * (vs[rows, :, 0] ** 2 + vs[rows, :, 1] ** 2)), axis=-1), Q)]
 
     return 10 * len(P), _chunked(P, block)
@@ -393,7 +397,7 @@ def run_suite(name: str, cfg: RunConfig) -> CheckReport:
         max_residual=worst,
         threshold=cfg.tol,
         passed=held and math.isfinite(worst) and worst < cfg.tol,
-        witness_point=as_point(witness).astuple(),
+        witness_point=tuple(map(float, witness)),
         elapsed_ms=elapsed_ms,
     )
 

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .chart import FrameVector, _per_point, as_point, frame_jets
+from .chart import Point, frame_jets
 
 __all__ = [
     "frame_connection",
@@ -145,15 +145,21 @@ def _build(p) -> Geometry:
     return Geometry(E.copy(order="K"), coframe, fc, np.einsum("...iim->...m", fc), c, eE, live, (dEL, d2EL, B))
 
 
-# single points only: a replay asks for one point's geometry several times; a check's batch is built once
-_geometry = lru_cache(maxsize=256)(_build)
+@lru_cache(maxsize=256)
+def _geometry(p: Point, types: tuple) -> Geometry:
+    """One point's geometry, keyed on its coordinates' types too: a longdouble point equals a float64 one."""
+    return _build(p)
 
 
 def geometry_at(p) -> Geometry:
     """Geometry at one point (cached; treat the arrays as read-only) or at a (..., 4) batch of points."""
-    if np.ndim(p) > 1:
+    if np.ndim(p) > 1:  # a check's batch is built once; a replay asks for one point's geometry several times
         return _build(p)
-    return _geometry(as_point(p))
+    if not isinstance(p, Point):
+        if len(p) != 4:
+            raise ValueError(f"a chart point has 4 coordinates, got shape {np.shape(p)}")
+        p = Point(*p)
+    return _geometry(p, tuple(map(type, p.astuple())))
 
 
 def _nabla(geo: Geometry, val, grad) -> np.ndarray:
@@ -177,7 +183,7 @@ def riemann_frame(p, i: int, j: int, k: int, l: int) -> float | np.ndarray:
     for idx in (i, j, k, l):
         if not 1 <= idx <= 4:
             raise ValueError(f"frame index {idx} outside 1..4")
-    return _per_point(geometry_at(p).Rfr[..., i - 1, j - 1, k - 1, l - 1])
+    return geometry_at(p).Rfr[..., i - 1, j - 1, k - 1, l - 1][()]
 
 
 def ricci_frame(p) -> np.ndarray:
@@ -186,11 +192,10 @@ def ricci_frame(p) -> np.ndarray:
 
 
 def scalar_curvature(p) -> float | np.ndarray:
-    return _per_point(np.trace(geometry_at(p).ric, axis1=-2, axis2=-1))
+    return np.trace(geometry_at(p).ric, axis1=-2, axis2=-1)
 
 
-def coercivity_check(p, v: FrameVector, lam: float) -> float | np.ndarray:
-    """Ric(v, v) - lam * g(v, v) for a frame vector v (components [..., i]) at p."""
-    c = v.comp
-    quadratic = np.einsum("...i,...ij,...j->...", c, geometry_at(p).ric, c)
-    return _per_point(quadratic - lam * np.einsum("...i,...i->...", c, c))
+def coercivity_check(p, v, lam: float) -> float | np.ndarray:
+    """Ric(v, v) - lam * g(v, v) for the frame components v[..., i] of a vector at p."""
+    quadratic = np.einsum("...i,...ij,...j->...", v, geometry_at(p).ric, v)
+    return quadratic - lam * np.einsum("...i,...i->...", v, v)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, _apply, _as_points, _jets, _per_point, coordinate_field
+from .chart import AnalyticVectorField, _apply, _as_points, _jets, coordinate_field
 from .curvature import _nabla, geometry_at
 from .soliton import _scalar_laplacian
 
@@ -85,7 +85,7 @@ class TensionValue:
 
     def max_component(self) -> float | np.ndarray:
         """Largest |component| of either part, per point."""
-        return _per_point(np.maximum(np.max(np.abs(self.horizontal), axis=-1), np.max(np.abs(self.vertical), axis=-1)))
+        return np.maximum(np.max(np.abs(self.horizontal), axis=-1), np.max(np.abs(self.vertical), axis=-1))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, _jets, _per_point, coordinate_field, metric_jets
+from .chart import AnalyticVectorField, _jets, coordinate_field, metric_jets
 from .curvature import _nabla, geometry_at
 
 __all__ = [
@@ -107,7 +107,7 @@ def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     alpha, dalpha, _ = xi.frame_component_jets(p)  # dalpha[..., a, k] = d_a alpha_k
     # values a[k] and frame derivatives D[i, k] = e_i(alpha_k), component indices first
     a, D = np.moveaxis(alpha, -1, 0), np.moveaxis(geometry_at(p).E @ dalpha, (-2, -1), (0, 1))
-    out = np.empty(D.shape)
+    out = np.empty_like(D)
     out[0, 0] = D[0, 0] - a[3] - lam
     out[1, 1] = D[1, 1] + a[3] - lam
     out[2, 2] = D[2, 2] - 2.0 * a[3] - lam - 6.0
@@ -160,4 +160,4 @@ def scalar_laplacian(f, p) -> float | np.ndarray:
     ``f`` is a closed-form callable of (x, y, s, t) evaluable on jets.
     """
     _, grad, hess = _jets(lambda *q: (f(*q),), p)  # one component
-    return _per_point(_scalar_laplacian(geometry_at(p), grad, hess)[..., 0])
+    return _scalar_laplacian(geometry_at(p), grad, hess)[..., 0][()]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from geoverify.chart import FrameVector, Point, constant_frame_field, coordinate_field, frame_field
+from geoverify.chart import Point, constant_frame_field, coordinate_field, frame_field
 from geoverify.curvature import (
     coercivity_check,
     frame_connection,
@@ -157,9 +157,9 @@ def test_criterion_07_coercivity():
     worst = 0.0
     for _ in range(1000):
         p = rand_point(rng)
-        v = FrameVector(rng.uniform(-3, 3, 4))
+        v = rng.uniform(-3, 3, 4)
         got = coercivity_check(p, v, -6.0)
-        worst = np.maximum(worst, abs(got - 6.0 * (v.comp[0] ** 2 + v.comp[1] ** 2)))
+        worst = np.maximum(worst, abs(got - 6.0 * (v[0] ** 2 + v[1] ** 2)))
     ok = worst < 1e-9
     report(7, "coercivity identity", ok, f"max err {worst:.2e} (tol 1e-9)")
     assert ok

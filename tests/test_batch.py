@@ -2,14 +2,16 @@
 
 A single point is batch shape () on the same code path, so these tests
 compare the two shapes of one computation; the independent routes are
-the oracles and cross-checks elsewhere in the suite.
+the oracles and cross-checks elsewhere in the suite.  The points come in
+float64 and in longdouble, and each public function must return the
+points' dtype, at one point and on the batch.
 """
 
 import numpy as np
 import pytest
 
 from geoverify import chart, checks, curvature, harmonic, soliton
-from geoverify.chart import FrameVector, constant_frame_field, coordinate_field
+from geoverify.chart import Point, constant_frame_field, coordinate_field
 from geoverify.checks import CHECK_NAMES, RunConfig, run_suite
 from geoverify.harmonic import CorollaryFamily, corollary_field
 from geoverify.jets import DomainError, point_jets, reciprocal, sqrt
@@ -21,10 +23,10 @@ N = 50
 REL = 1e-13
 
 
-def assert_batch_matches(batch, singles):
-    """Entry by entry, to REL relative to the entry's scale (at least 1)."""
-    singles = np.array(singles, dtype=float)
-    batch = np.asarray(batch, dtype=float)
+def assert_batch_matches(batch, singles, dtype):
+    """Both in ``dtype``, and entry by entry, to REL relative to the entry's scale (at least 1)."""
+    singles = np.array(singles)
+    assert np.result_type(batch) == singles.dtype == dtype
     assert batch.shape == singles.shape
     assert np.all(np.abs(batch - singles) <= REL * np.maximum(np.abs(singles), 1.0))
 
@@ -34,6 +36,12 @@ def batch():
     rng = np.random.default_rng(501)
     pts = [rand_point(rng) for _ in range(N)]
     return pts, np.array([p.astuple() for p in pts]), rng
+
+
+def in_each_dtype(P):
+    """The points P as single Points and as a batch, in float64 and then in longdouble: equal values, which a geometry
+    cache keyed on the values alone would confuse."""
+    return [([Point(*q) for q in Q], Q) for Q in (P, P.astype(np.longdouble))]
 
 
 def xy_field():
@@ -47,63 +55,77 @@ def xy_field():
 
 
 def test_geometry_batch_matches_single_points(batch):
-    pts, P, rng = batch
-    geo = curvature.geometry_at(P)
-    for name in ("E", "fc", "Rfr", "G", "v", "C", "M"):
-        assert_batch_matches(getattr(geo, name), [getattr(curvature.geometry_at(p), name) for p in pts])
-    assert_batch_matches(geo._dfc, [curvature.geometry_at(p)._dfc for p in pts])  # d_m fc in the live m
-    for k in range(3):  # the carried coframe jets
-        assert_batch_matches(geo.coframe[k], [curvature.geometry_at(p).coframe[k] for p in pts])
-    for fn in (
-        curvature.frame_connection,
-        curvature.ricci_frame,
-        curvature.riemann_frame_table,
-        curvature.scalar_curvature,
-    ):
-        assert_batch_matches(fn(P), [fn(p) for p in pts])
-    vs = rng.uniform(-3.0, 3.0, (N, 4))
-    assert_batch_matches(
-        curvature.coercivity_check(P, FrameVector(vs), -6.0),
-        [curvature.coercivity_check(p, FrameVector(v), -6.0) for p, v in zip(pts, vs)],
-    )
+    _, P, rng = batch
+    vs = rng.uniform(-3.0, 3.0, (N, 4))  # float64 components, which meet the points' dtype
+    for pts, P in in_each_dtype(P):
+        geo = curvature.geometry_at(P)
+        for name in ("E", "fc", "Rfr", "G", "v", "C", "M"):
+            assert_batch_matches(getattr(geo, name), [getattr(curvature.geometry_at(p), name) for p in pts], P.dtype)
+        assert_batch_matches(geo._dfc, [curvature.geometry_at(p)._dfc for p in pts], P.dtype)  # d_m fc, live m
+        for k in range(3):  # the carried coframe jets
+            assert_batch_matches(geo.coframe[k], [curvature.geometry_at(p).coframe[k] for p in pts], P.dtype)
+        for fn in (
+            chart.metric_at,
+            chart.frame_matrix,
+            curvature.frame_connection,
+            curvature.ricci_frame,
+            curvature.riemann_frame_table,
+            lambda p: curvature.riemann_frame(p, 3, 4, 3, 4),
+            curvature.scalar_curvature,
+        ):
+            assert_batch_matches(fn(P), [fn(p) for p in pts], P.dtype)
+        assert_batch_matches(
+            curvature.coercivity_check(P, vs, -6.0),
+            [curvature.coercivity_check(p, v, -6.0) for p, v in zip(pts, vs)],
+            P.dtype,
+        )
 
 
 def test_soliton_batch_matches_single_points(batch):
-    pts, P, rng = batch
+    _, P, rng = batch
     c = rng.uniform(-3.0, 3.0, (N, 5))  # per-point constants, one array per constant
     xi = soliton.soliton_field(SolitonParams(*c.T))
     singles = [soliton.soliton_field(SolitonParams(*ci)) for ci in c]
-    assert_batch_matches(
-        soliton.soliton_residual(xi, -6.0, P), [soliton.soliton_residual(f, -6.0, p) for f, p in zip(singles, pts)]
-    )
-    defects = [soliton.closedness_defect(f, p) for f, p in zip(singles, pts)]
-    assert_batch_matches(soliton.closedness_defect(xi, P), defects)
-    for k in range(4):
-        assert_batch_matches(
-            soliton.scalar_laplacian(xi.components[k], P),
-            [soliton.scalar_laplacian(f.components[k], p) for f, p in zip(singles, pts)],
-        )
+    for pts, P in in_each_dtype(P):
+        for fn in (
+            lambda f, p: soliton.soliton_residual(f, -6.0, p),
+            lambda f, p: soliton.soliton_system(f, -6.0, p),
+            soliton.beta_matrix,
+            soliton.lie_derivative_metric,
+            soliton.closedness_defect,
+        ):
+            assert_batch_matches(fn(xi, P), [fn(f, p) for f, p in zip(singles, pts)], P.dtype)
+        for k in range(4):
+            assert_batch_matches(
+                soliton.scalar_laplacian(xi.components[k], P),
+                [soliton.scalar_laplacian(f.components[k], p) for f, p in zip(singles, pts)],
+                P.dtype,
+            )
 
 
 def test_harmonic_batch_matches_single_points(batch):
-    pts, P, rng = batch
-    X = xy_field()
-    for fn in (harmonic.rough_laplacian, harmonic.horizontal_tension):
-        assert_batch_matches(fn(X, P), [fn(X, p) for p in pts])
-    tension = harmonic.harmonic_map_residual(X, P)
-    singles = [harmonic.harmonic_map_residual(X, p) for p in pts]
-    assert_batch_matches(tension.horizontal, [s.horizontal for s in singles])
-    assert_batch_matches(tension.vertical, [s.vertical for s in singles])
-    assert_batch_matches(tension.max_component(), [s.max_component() for s in singles])
-
-    c = rng.uniform(-3.0, 3.0, (N, 2))
-    for k in (1, 2, 3, 4):
-        fam = corollary_field(CorollaryFamily(k, *c.T))
-        singles = [corollary_field(CorollaryFamily(k, *ci)) for ci in c]
-        assert_batch_matches(
-            harmonic.harmonic_section_residual(fam, P),
-            [harmonic.harmonic_section_residual(f, p) for f, p in zip(singles, pts)],
-        )
+    _, P, rng = batch
+    X, c = xy_field(), rng.uniform(-3.0, 3.0, (N, 2))
+    for pts, P in in_each_dtype(P):
+        for fn in (harmonic.rough_laplacian, harmonic.horizontal_tension):
+            assert_batch_matches(fn(X, P), [fn(X, p) for p in pts], P.dtype)
+        for jets in (X.component_jets, X.frame_component_jets, X.coordinate_component_jets):
+            for part, singles in zip(jets(P), zip(*map(jets, pts)), strict=True):
+                assert_batch_matches(part, singles, P.dtype)
+        tension = harmonic.harmonic_map_residual(X, P)
+        singles = [harmonic.harmonic_map_residual(X, p) for p in pts]
+        assert_batch_matches(tension.horizontal, [s.horizontal for s in singles], P.dtype)
+        assert_batch_matches(tension.vertical, [s.vertical for s in singles], P.dtype)
+        assert_batch_matches(tension.max_component(), [s.max_component() for s in singles], P.dtype)
+        for k in (1, 2, 3, 4):
+            fam = corollary_field(CorollaryFamily(k, *c.T))
+            singles = [corollary_field(CorollaryFamily(k, *ci)) for ci in c]
+            for fn in (
+                harmonic.harmonic_section_residual,
+                harmonic.harmonic_section_equations,
+                harmonic.horizontal_tension_expanded,
+            ):
+                assert_batch_matches(fn(fam, P), [fn(f, p) for f, p in zip(singles, pts)], P.dtype)
 
 
 def test_batched_hessians_are_exactly_symmetric(batch):
@@ -156,9 +178,9 @@ def test_array_constants_on_either_side_match_per_point_scalars(batch):
         for i, p in enumerate(pts):
             _, _, si, ti = point_jets(p)
             want = f(si, ti, float(c[i]))
-            assert_batch_matches(got.value[i], want.value)
-            assert_batch_matches(got.grad[i], want.grad)
-            assert_batch_matches(got.hess[i], want.hess)
+            assert_batch_matches(got.value[i], want.value, P.dtype)
+            assert_batch_matches(got.grad[i], want.grad, P.dtype)
+            assert_batch_matches(got.hess[i], want.hess, P.dtype)
         assert np.array_equal(got.hess, np.swapaxes(got.hess, -1, -2))
 
 

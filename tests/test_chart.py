@@ -5,7 +5,6 @@ from geoverify import chart
 from geoverify.chart import (
     AnalyticVectorField,
     Point,
-    as_point,
     coframe_jets,
     coordinate_field,
     frame_jets,
@@ -97,7 +96,7 @@ def test_domain_validation():
     with pytest.raises(DomainError):
         Point(0.0, 0.0, 0.0, -1.0)
     with pytest.raises(DomainError):
-        as_point((0.0, 0.0, 0.0, -2.0))
+        geometry_at((0.0, 0.0, 0.0, -2.0))
     with pytest.raises(DomainError):
         metric_at((1.0, 1.0, 1.0, 0.0))
 
@@ -115,7 +114,7 @@ def test_a_point_of_another_length_is_an_error_naming_its_shape():
 def test_non_finite_coordinates_are_outside_the_domain(bad, slot):
     q = [0.5, 1.0, 0.3, 1.0]
     q[slot] = bad
-    for make in (lambda: Point(*q), lambda: as_point(q), lambda: metric_at(q)):
+    for make in (lambda: Point(*q), lambda: geometry_at(q), lambda: metric_at(q)):
         with pytest.raises(DomainError):
             make()
     # a batch names its first bad row, whether that row breaks finiteness or t > 0

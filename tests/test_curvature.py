@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geoverify.chart import FrameVector, Point
+from geoverify import curvature
+from geoverify.chart import Point
 from geoverify.curvature import (
     _build,
     coercivity_check,
@@ -98,6 +99,11 @@ def test_readers_return_copies_of_the_cached_arrays():
         expected = first.copy()
         first[...] = 99.0
         assert np.array_equal(reader(p), expected), reader.__name__
+    # a longdouble point equals, and hashes like, the float64 point of the same value: each gets its own geometry
+    q = (0.25, -0.5, 1.5, 0.75)
+    curvature._geometry.cache_clear()
+    for dtype in (np.longdouble, np.float64):
+        assert geometry_at(Point(*np.array(q, dtype))).ric.dtype == dtype
 
 
 def test_connection_table_examples():
@@ -173,12 +179,18 @@ def test_listed_curvature_values():
 
 def test_ricci_is_constant_diagonal():
     rng = np.random.default_rng(19)
-    for _ in range(100):
-        p = rand_point(rng)
-        ric = ricci_frame(p)
-        assert np.max(np.abs(ric - RICCI_FRAME)) < 1e-9
-        assert np.max(np.abs(ric - ric.T)) < 1e-9
-        assert scalar_curvature(p) == pytest.approx(-12.0, abs=1e-9)
+    # on |x|, |y|, |s| <= 1000 float64 points lose about three digits to cancellation (3.3e-13); longdouble ones keep
+    # them, where longdouble is wider than float64 (x86's 80-bit format, or quad precision)
+    cases = [(2.0, np.float64, 1e-9)]
+    if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        cases.append((1000.0, np.longdouble, 1e-15))
+    for width, dtype, bound in cases:
+        for _ in range(100):
+            p = Point(*np.array([*rng.uniform(-width, width, 3), rng.uniform(0.5, 2.0)], dtype))
+            ric = ricci_frame(p)
+            assert ric.dtype == dtype and np.max(np.abs(ric - RICCI_FRAME)) < bound
+            assert np.max(np.abs(ric - ric.T)) < 1e-9
+            assert scalar_curvature(p) == pytest.approx(-12.0, abs=1e-9)
 
 
 def test_domain_error_propagates():
@@ -188,19 +200,19 @@ def test_domain_error_propagates():
 
 def test_coercivity_reference_values():
     p = Point(0.1, 0.2, 0.3, 1.4)
-    assert coercivity_check(p, FrameVector([1, 0, 0, 0]), -6.0) == pytest.approx(6.0, abs=1e-9)
-    assert coercivity_check(p, FrameVector([0, 0, 1, 0]), -6.0) == pytest.approx(0.0, abs=1e-9)
-    assert coercivity_check(p, FrameVector([1, 1, 1, 1]), -6.0) == pytest.approx(12.0, abs=1e-9)
+    assert coercivity_check(p, [1, 0, 0, 0], -6.0) == pytest.approx(6.0, abs=1e-9)
+    assert coercivity_check(p, [0, 0, 1, 0], -6.0) == pytest.approx(0.0, abs=1e-9)
+    assert coercivity_check(p, [1, 1, 1, 1], -6.0) == pytest.approx(12.0, abs=1e-9)
 
 
 def test_coercivity_nonnegative_at_soliton_constant():
     rng = np.random.default_rng(20)
     for _ in range(200):
         p = rand_point(rng)
-        v = FrameVector(rng.uniform(-3, 3, 4))
+        v = rng.uniform(-3, 3, 4)
         val = coercivity_check(p, v, -6.0)
         assert val >= -1e-9
-        assert val == pytest.approx(6.0 * (v.comp[0] ** 2 + v.comp[1] ** 2), abs=1e-9)
+        assert val == pytest.approx(6.0 * (v[0] ** 2 + v[1] ** 2), abs=1e-9)
 
 
 def test_first_reads_of_a_cached_geometry_race_safely():

@@ -109,7 +109,19 @@ MUTANTS = {
     "EXPONENT_PLUS + 1e-7": (harmonic, "EXPONENT_PLUS", lambda a: a + 1e-7, ["corollary"]),
     "horizontal tension x 1.0001": (harmonic, "_horizontal_tension", _scaled(1.0001), ["harmonic-map-witnesses"]),
     "rough Laplacian x 1.5": (harmonic, "_rough_laplacian", _scaled(1.5), ["theorem3", "corollary"]),
-    "scalar Laplacian x 3": (soliton, "_scalar_laplacian", _scaled(3.0), ["theorem3", "corollary"]),
+    "scalar Laplacian x 3": (
+        soliton,
+        "_scalar_laplacian",
+        _scaled(3.0),
+        ["harmonic-components", "theorem3", "corollary"],
+    ),
+    # harmonic-components' own claim is that every Laplacian is zero; its control Lap(t^2) = 8 t^2 sees this one
+    "scalar Laplacian := 0": (
+        soliton,
+        "_scalar_laplacian",
+        _scaled(0.0),
+        ["harmonic-components", "theorem3", "corollary"],
+    ),
     "Ricci x (1 + 1e-6)": (
         curvature,
         "_build",
@@ -139,6 +151,8 @@ SURVIVORS = {
     # dfc multiplies e_i(fc) in Rfr, ric and M, and fc is constant in F4's left-invariant frame
     "dfc := 0": (curvature, "_build", _geometry_scaled("_dfc", 0.0), "dfc = 0 on F4's own frame"),
     "dfc x 1.001": (curvature, "_build", _geometry_scaled("_dfc", 1.001), "dfc = 0 on F4's own frame"),
+    # an equivalent mutant: v = -g^ab Gamma^c_ab, a coordinate vector that no choice of frame changes
+    "v := 0": (curvature, "_build", _geometry_scaled("v", 0.0), "v vanishes on F4 in every frame"),
 }
 
 

@@ -3,10 +3,13 @@
 A name that ``geoverify/__init__.py`` exports must appear as a code token
 somewhere in ``src/`` other than its own ``def`` or ``class`` line, or in
 ``demos/`` or ``bench/``.  A name only tests reach belongs in
-``tests/oracles.py``, not in the package.
+``tests/oracles.py``, not in the package.  And each exported name is in
+the ``__all__`` of the module it comes from, so that ``from module import *``
+gives it too.
 """
 
 import ast
+import importlib
 import io
 import tokenize
 from pathlib import Path
@@ -21,9 +24,14 @@ ALLOWED = {
 }
 
 
+def _imports() -> list[ast.ImportFrom]:
+    """The package's relative ``from .module import ...`` statements."""
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    return [node for node in body if isinstance(node, ast.ImportFrom) and node.level]
+
+
 def _exported() -> set[str]:
-    imports = [n for n in ast.parse((PACKAGE / "__init__.py").read_text()).body if isinstance(n, ast.ImportFrom)]
-    return {alias.asname or alias.name for node in imports if node.level for alias in node.names}  # relative ones
+    return {alias.asname or alias.name for node in _imports() for alias in node.names}
 
 
 def _code_names(path: Path) -> set[str]:
@@ -43,3 +51,10 @@ def test_every_exported_name_is_reached_outside_the_tests():
     exported = _exported()
     assert set(ALLOWED) <= exported
     assert exported - used == set(ALLOWED), "only tests reach these: move them to tests/oracles.py, or allow them"
+
+
+def test_every_exported_name_is_in_its_modules_all():
+    for node in _imports():
+        module = importlib.import_module(f"geoverify.{node.module}")
+        missing = {alias.name for alias in node.names} - set(module.__all__)
+        assert missing == set(), f"geoverify.{node.module}.__all__ lacks {sorted(missing)}"
