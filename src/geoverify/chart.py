@@ -34,7 +34,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .jets import _ALL, _GRAD, _HESS, _SLOTS, NVARS, DomainError, Jet2, _axes, _index, _lift, _require, point_jets
+from .jets import _ALL, NVARS, DomainError, Jet2, _axes, _index, _lift, _require, point_jets
 from .jets import reciprocal, sqrt
 
 __all__ = [
@@ -53,8 +53,8 @@ class Point:
     s: float
     t: float
 
-    def __post_init__(self):
-        if not (all(map(math.isfinite, self.astuple())) and self.t > 0.0):
+    def __post_init__(self):  # math.isfinite reads a float: a longdouble beyond its range falls back to np.isfinite
+        if not ((all(map(math.isfinite, q := self.astuple())) or np.isfinite(q).all()) and self.t > 0.0):
             raise DomainError(f"chart requires finite coordinates and t > 0, got {self}")
 
     def __getitem__(self, k: int) -> float:
@@ -102,28 +102,42 @@ def _as_points(p) -> np.ndarray:
     return P
 
 
-def _jets(f: Callable, p, order: int = 2) -> _JetArrays:
+def _packed(f: Callable, p, order: int = 2, dense: bool = False) -> tuple[tuple, slice | np.ndarray]:
     """Evaluate the closed form ``f`` at a point or a (..., 4) batch p, in one call, to ``order`` 1 or 2.
 
-    ``f(x, y, s, t)`` returns a jet or constant, or nested tuples of them, such as a 4x4 grid.  Returns
-    ``val[..., e]``, ``grad[..., m, e] = d_m entry`` and, at order 2, ``hess[..., m, n, e] = d_m d_n entry``.
+    ``f(x, y, s, t)`` returns a jet or constant, or nested tuples of them, such as a 4x4 grid.  Returns ``val[..., e]``,
+    ``grad[..., m, e] = d_m entry`` and, at order 2, ``hess[..., m, n, e] = d_m d_n entry`` for m, n over the variables
+    its entries read (all four if ``dense``, or at a point or order 1), and those as a slice or else an index array.
     """
     P = _as_points(p)
     entries, shape = [f(*point_jets(P, order))], ()
     while isinstance(entries[0], tuple):
         shape += (len(entries[0]),)
         entries = [e for row in entries for e in row]
-    batch = P.shape[:-1]
+    V = _ALL if dense else tuple(sorted(set().union(*{jet.V for jet in entries if isinstance(jet, Jet2)})))
+    batch, u = P.shape[:-1], len(V)
     # one buffer with the batch axes innermost, viewed batch-first: einsum keeps that memory layout for its
     # results (order="K"), so every contraction downstream loops over the batch, not over length-4 axes
-    B = np.zeros((_SLOTS[order], len(entries)) + batch, P.dtype)
+    B = np.zeros((1 + u + u * u * (order - 1), len(entries)) + batch, P.dtype)
     for k, jet in enumerate(entries):
-        if isinstance(jet, Jet2):  # its slots over its own variables, in the dense layout
-            B[slice(None) if jet.V is _ALL else _index(jet.V, _ALL, order), k] = _lift(jet.J, batch)
+        if isinstance(jet, Jet2):  # its slots over its own variables, in the layout over V
+            B[slice(None) if jet.V == V else _index(jet.V, V, order), k] = _lift(jet.J, batch)
         else:
             B[0, k] = jet
-    parts = ((B[0], shape), (B[_GRAD], (NVARS,) + shape), (B[_HESS], (NVARS, NVARS) + shape))[: order + 1]
-    return tuple(A.reshape(d + batch).transpose(_axes(len(d), len(d + batch))) for A, d in parts)
+    parts = ((B[0], shape), (B[1 : 1 + u], (u,) + shape), (B[1 + u :], (u, u) + shape))[: order + 1]
+    rows = slice(V[0], V[-1] + 1) if V and V[-1] - V[0] == u - 1 else np.array(V, dtype=int)
+    return tuple(A.reshape(d + batch).transpose(_axes(len(d), len(d + batch))) for A, d in parts), rows
+
+
+def _jets(f: Callable, p, order: int = 2) -> _JetArrays:
+    return _packed(f, p, order, dense=True)[0]  # the dense layout: exact zeros in the rows f does not read
+
+
+def _in_four(a: np.ndarray, rows, axes: tuple) -> np.ndarray:
+    """a's rows, the variables ``rows`` from :func:`_packed`, on its negative ``axes`` in all four, other rows zeros."""
+    out = np.zeros_like(a, shape=[NVARS if k - a.ndim in axes else n for k, n in enumerate(a.shape)])
+    out[(..., *np.ix_(*[np.arange(NVARS)[rows]] * len(axes))) + (slice(None),) * (-1 - axes[-1])] = a
+    return out
 
 
 def _apply(A: _JetArrays, x: tuple) -> tuple:
@@ -152,10 +166,9 @@ def metric_jets(p, order: int = 2) -> _JetArrays:
     return _jets(_metric, p, order)
 
 
-def frame_jets(p, coframe: bool = False) -> _JetArrays:
-    """Jets of the frame rows at p; with ``coframe``, of frame and coframe rows together, entry axes (2, 4, 4)."""
-    F = _jets(_frames, p)
-    return F if coframe else tuple(a[..., 0, :, :] for a in F)
+def frame_jets(p, coframe: bool = False):
+    """Jets of the frame rows at p; with ``coframe``, the packed jets of both tables, entry axes (2, 4, 4), and rows."""
+    return _packed(_frames, p) if coframe else tuple(a[..., 0, :, :] for a in _jets(_frames, p))
 
 
 def coframe_jets(p) -> _JetArrays:

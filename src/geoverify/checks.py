@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import _jets, frame_field, metric_jets
+from .chart import _in_four, _jets, frame_field, metric_jets
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily
 from .jets import DomainError, _require
@@ -301,22 +301,16 @@ def _check_theorem3(cfg: RunConfig, P: np.ndarray):
     return len(P), _chunked(P, block)
 
 
-def _power_law(exponent: float):
-    return lambda x, y, s, t: t**exponent
-
-
 def _check_corollary(cfg: RunConfig, P: np.ndarray):
     c = [_uniform(cfg, f"corollary/c{k}", -3.0, 3.0, (2,)) for k in (1, 2, 3, 4)]  # per point (c1, c2)
     # the power-law exponents are forced: a shifted exponent must leave a visible residual somewhere
     exponents = (harmonic.EXPONENT_PLUS, harmonic.EXPONENT_MINUS)
-    shifted = [(_power_law(exponent + 0.01), l) for l in (2, 3) for exponent in exponents]
+    shifted = [lambda x, y, s, t, power, r=exponent + 0.01: power(r) for exponent in exponents] * 2  # d/ds, d/dt
 
     def block(Q, rows):
         # the eight fields f d_l as one stack: one evaluation of their profiles, one Laplacian for all
-        stack = [(harmonic._profile(CorollaryFamily(k, *c[k - 1][rows].T)), k - 1) for k in (1, 2, 3, 4)] + shifted
-        geo = geometry_at(Q)
-        own, _, basis = harmonic._stack(geo, stack, Q)
-        res = _worst(harmonic._rough_laplacian(geo, *own, basis), 1)
+        profiles = [harmonic._profile(CorollaryFamily(k, *c[k - 1][rows].T)) for k in (1, 2, 3, 4)] + shifted
+        res = _worst(harmonic._stack(geometry_at(Q), harmonic._form(profiles), (0, 1, 2, 3, 2, 2, 3, 3), Q)[0], 1)
         return [_zero(r, Q) for r in res[:4]] + [_exceeds(r, Q) for r in res[4:]]
 
     return 8 * len(P), _chunked(P, block)
@@ -325,20 +319,19 @@ def _check_corollary(cfg: RunConfig, P: np.ndarray):
 def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
     comp = _uniform(cfg, "harmonic-map-witnesses/const", -2.0, 2.0, (4,))
     # families 1-4 at (c1, c2) = (1, 0) and (0, 1), one stack of fields f d_l; then e1..e4 beside them
-    coordinate = [
-        (harmonic._profile(CorollaryFamily(k, *c)), k - 1) for c in ((1.0, 0.0), (0.0, 1.0)) for k in (1, 2, 3, 4)
-    ]
+    families = [CorollaryFamily(k, *c) for c in ((1.0, 0.0), (0.0, 1.0)) for k in (1, 2, 3, 4)]
+    coordinate, dirs = harmonic._form([harmonic._profile(fam) for fam in families]), [fam.index - 1 for fam in families]
     n_zero = min(10, len(P))
 
     def block(Q, rows):
         geo = geometry_at(Q)
-        own, coframe, basis = harmonic._stack(geo, coordinate, Q)
-        lap = harmonic._rough_laplacian(geo, *own, basis)
-        mags = harmonic._tension(geo, *harmonic._apply(coframe, own[:2]), lap).max_component()
+        lap, (f, df), live = harmonic._stack(geo, coordinate, dirs, Q)
+        T, dT = (np.einsum("...l->l...", a)[dirs, ..., None] for a in geo.coframe[:2])  # the directions' columns
+        mags = harmonic._tension(geo, *harmonic._apply((T, dT), (f, _in_four(df, live, (-2,)))), lap).max_component()
         # constant frame fields e1..e4, zero and k, the batch innermost: no gradient, so Lap X = X M
-        k, val = comp[rows], np.zeros((6, 4, len(Q))).transpose(0, 2, 1)
-        val[:4], val[5] = np.eye(4)[:, None], k
-        const = harmonic._tension(geo, val, np.zeros((4, 4)), np.einsum("...k,...kj->...j", val, geo.M))
+        k, val, grad = comp[rows], np.zeros((6, 4, len(Q))).transpose(0, 2, 1), np.zeros((4, 4, len(Q)))
+        val[:4], val[5], grad = np.eye(4)[:, None], k, grad.transpose(2, 0, 1)
+        const = harmonic._tension(geo, val, grad, np.einsum("...k,...kj->...j", val, geo.M))
         head = Q[: max(0, n_zero - rows.start)]  # the block's rows among the check's first ten
         zero_res = const.max_component()[4, : len(head)]
         # expanded quadratic identity for the last tension component

@@ -11,12 +11,12 @@ inputs, which is what makes comparing them against the published integer
 tables a meaningful check.
 
 Contractions over a derivative index run over the live coordinates only:
-those in which some first or second derivative of the frame or coframe is
-not exactly zero, NaN and inf counting as nonzero, somewhere in the batch
-(s and t on F4).  The rows left out are exact zeros, so every finite
-result is the full contraction's bit for bit; only a 0*inf or 0*NaN can go.
-A batch's frame jets have no x or y slots, so only a single point's dense
-jets can hold a NaN or inf (0*inf) in those rows, where t under- or overflows.
+the variables the frame and coframe jets carry, packed over the union of
+their entries' variables (s and t on a batch of F4; all four at a single
+point, whose jets are dense).  The rows left out are never formed, and are
+exact zeros in the dense layout, so every result is the full contraction's
+bit for bit.  Only a point's dense jets have x and y rows, which hold NaN or
+inf (0*inf) where t under- or overflows, and they are contracted with the rest.
 
 Sign conventions:
 
@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .chart import Point, frame_jets
+from .chart import Point, _in_four, frame_jets
 
 __all__ = [
     "frame_connection",
@@ -48,12 +48,12 @@ __all__ = [
 class Geometry:
     """Pointwise frame arrays for one chart point or a batch (all indices 0-based), built in the live coordinates.
 
-    Batch axes come first, then derivative indices, then the entry.  The build forms E, the coframe jets and fc from
-    first derivatives; the rest is formed on first read and then kept.  ``lemma1`` (fc) and ``harmonic-components``
-    (G, v) never form dfc; ``lemma2``, ``theorem1`` and ``coercivity`` read ric, and only ``riemc`` and the tension Rfr.
+    Batch axes come first, then derivative indices, then the entry.  The build forms E and fc from views of the frame
+    and coframe jets packed over the live coordinates (s and t on a batch, all four at a point), the rest on first read
+    (and kept): ``lemma1`` (fc) and ``harmonic-components`` (G, v) never form dfc, only ``riemc`` and the tension Rfr.
 
         E[..., i,a]            frame e_{i+1} components against d/dx_a
-        coframe                jets (T, dT, d2T) of the coframe rows th_{k+1}, for converting coordinate fields
+        coframe                jets (T, dT, d2T) of the coframe rows th_{k+1}, dense, for converting coordinate fields
         fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k); tau_m = sum_i fc_iim, so sum_i nabla_{e_i} e_i = tau_m e_m
         ric[..., i,j]          Ric(e_i, e_j) = e_i(tau_j) - e_a(fc_iaj) + tau_m fc_imj - (fc_iam + c_ima) fc_amj
         Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l), 256 entries per point
@@ -71,22 +71,27 @@ class Geometry:
     """
 
     E: np.ndarray
-    coframe: tuple[np.ndarray, np.ndarray, np.ndarray]
+    _coframe: tuple[np.ndarray, np.ndarray, np.ndarray]  # the coframe jets over the live coordinates
     fc: np.ndarray
     _tau: np.ndarray
     _c: np.ndarray  # c[..., i,j,k] = th_k([e_i, e_j])
     _eE: np.ndarray  # eE[..., b] = sum_i e_i(E_ib)
     _live: slice | np.ndarray  # the live coordinates: a slice when they are consecutive, else an index array
-    _stage2: tuple[np.ndarray, np.ndarray, np.ndarray]  # own copies of d_m E, d_m d_n E (live m, n); B = [e_i, e_j]^b
+    _stage2: tuple[np.ndarray, np.ndarray, np.ndarray]  # d_m E, d_m d_n E (live m, n); B = [e_i, e_j]^b
+
+    @cached_property
+    def coframe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # dense, for converting a field's own jets
+        (T, dT, d2T), live = self._coframe, self._live  # a point's jets are dense already: no copy
+        return self._coframe if dT.shape[-3] == 4 else (T, _in_four(dT, live, (-3,)), _in_four(d2T, live, (-4, -3)))
 
     @cached_property
     def _dfc(self) -> np.ndarray:
         """dfc[..., m,i,j,k] = d_m fc_ijk for the live coordinates m, by way of dD = d_m e_i(E_jb), dB and dc."""
-        (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self.coframe
+        (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self._coframe
         dD = np.einsum("...mia,...ajb->...mijb", dEL[..., live], dEL)
         dD += np.einsum("...ia,...majb->...mijb", self.E[..., live], d2EL)
         dB = dD - np.swapaxes(dD, -3, -2)
-        dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT[..., live, :, :])
+        dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT)
         return _koszul(dc)
 
     @cached_property
@@ -130,19 +135,13 @@ def _koszul(c):
 
 
 def _build(p) -> Geometry:
-    F, dF, d2F = frame_jets(p, coframe=True)  # entry axes (frame or coframe, row, coordinate slot)
-    axes = tuple(range(F.ndim - 3)) + (-3, -2, -1)  # all but the (first) derivative index
-    rows = np.flatnonzero(np.any(dF != 0.0, axis=axes) | np.any(d2F != 0.0, axis=axes + (-4,)))
-    live = slice(rows[0], rows[-1] + 1) if len(rows) and rows[-1] - rows[0] == len(rows) - 1 else rows
-    E, dE, d2E = (a[..., 0, :, :] for a in (F, dF, d2F))
-    # own arrays, in their layout, of all the geometry keeps: a view would keep every frame and coframe jet alive
-    coframe = T, _, _ = tuple(a[..., 1, :, :].copy(order="K") for a in (F, dF, d2F))
-    dEL, d2EL = dE[..., live, :, :].copy(order="K"), d2E[..., live, :, :, :][..., live, :, :].copy(order="K")
+    (F, dF, d2F), live = frame_jets(p, coframe=True)  # entry axes (frame or coframe, row, coordinate slot)
+    (E, dEL, d2EL), coframe = (tuple(a[..., k, :, :] for a in (F, dF, d2F)) for k in (0, 1))  # views, not copies
     D = np.einsum("...ia,...ajb->...ijb", E[..., live], dEL)  # D[i,j,b] = e_i(E_jb)
     B = D - np.swapaxes(D, -3, -2)  # [e_i, e_j]^b
-    c = np.einsum("...ijb,...kb->...ijk", B, T)
+    c = np.einsum("...ijb,...kb->...ijk", B, coframe[0])
     fc, eE = _koszul(c), np.einsum("...iib->...b", D)
-    return Geometry(E.copy(order="K"), coframe, fc, np.einsum("...iim->...m", fc), c, eE, live, (dEL, d2EL, B))
+    return Geometry(E, coframe, fc, np.einsum("...iim->...m", fc), c, eE, live, (dEL, d2EL, B))
 
 
 @lru_cache(maxsize=256)

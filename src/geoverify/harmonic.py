@@ -20,9 +20,9 @@ A coordinate field X = X_l d_l takes it by the product rule
 with one set of coefficients per geometry, so its frame components need
 first derivatives only.  The coefficients keep the direction l in front:
 a stack of single-direction fields f_m d_{l_m} (the corollary families,
-the witnesses) evaluates its profiles f_m in one jet evaluation and takes
-each member as a one-component field on the columns of its direction l_m.
-Only the other components' exact zeros drop out, so no bit changes.  The
+the witnesses) evaluates its profiles f_m as one closed form, each power of
+t once, packed over the variables they read, and takes each member on its
+direction's columns and those rows.  Only exact zeros drop out.  The
 component-system and expanded quadratic forms (:func:`harmonic_section_equations`,
 :func:`horizontal_tension_expanded`) re-derive the same quantities from plain s/t partial derivatives, on
 frame components converted to second order, and exist purely as
@@ -36,13 +36,14 @@ coordinate directions are provided by :func:`corollary_field`; families
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import AnalyticVectorField, _apply, _as_points, _jets, coordinate_field
+from .chart import AnalyticVectorField, _apply, _as_points, _packed, coordinate_field
 from .curvature import _nabla, geometry_at
 from .soliton import _scalar_laplacian
 
@@ -108,33 +109,36 @@ class CorollaryFamily:
 
 
 def _profile(fam: CorollaryFamily):
-    """The family member's one coordinate component, along d/dx, d/dy, d/ds or d/dt for index 1..4."""
+    """The family member's one coordinate component f(x, y, s, t, power) along d/dx, d/dy, d/ds or d/dt, index 1..4."""
     c1, c2 = fam.c1, fam.c2
     if fam.index == 1:
-        return lambda x, y, s, t: c1 + c2 * t * t
+        return lambda x, y, s, t, power: c1 + c2 * t * t
     if fam.index == 2:
-        return lambda x, y, s, t: c1 + c2 * t * t / (s * s + t * t) ** 2
-    return lambda x, y, s, t: c1 * t**EXPONENT_PLUS + c2 * t**EXPONENT_MINUS
+        return lambda x, y, s, t, power: c1 + c2 * t * t / (s * s + t * t) ** 2
+    return lambda x, y, s, t, power: c1 * power(EXPONENT_PLUS) + c2 * power(EXPONENT_MINUS)
+
+
+def _form(profiles):
+    """One closed form, an entry (f,) per profile f(x, y, s, t, power), whose power(r) = t**r takes each power once."""
+    return lambda x, y, s, t: tuple((f(x, y, s, t, pw),) for pw in [functools.cache(lambda r: t**r)] for f in profiles)
 
 
 def corollary_field(fam: CorollaryFamily) -> AnalyticVectorField:
     """Build the family member as a coordinate-basis field."""
-    comps = [lambda x, y, s, t: 0.0] * 4
-    comps[fam.index - 1] = _profile(fam)
+    comps, form = [lambda x, y, s, t: 0.0] * 4, _form([_profile(fam)])
+    comps[fam.index - 1] = lambda *q: form(*q)[0][0]
     return coordinate_field(*comps)
 
 
 def _coordinate_basis(geo):
-    """The coframe jets, the frame-component jets of the d_l, and the coefficients of a coordinate field's rough
-    Laplacian on its own component jets, d_l's column l the leading axis: T[l, ..., j] = th_j(d_l), dT[l, ..., a, j];
-    2 K[l, ..., a, j] = 2 G_ab d_b T_jl + C_akj T_kl, so that d_a X_l K[l, a, j] = g(nabla_{grad X_l} d_l, e_j); and
-    L[l, ..., j] = g(Lap d_l, e_j) by the frame route of :func:`_rough_laplacian`, over the live rows of dT and d2T
-    and the matching blocks of G, v and C (the other rows are exact zeros)."""
-    live, (T, dT, d2T) = geo._live, (np.einsum("...l->l...", a) for a in geo.coframe)
-    dTL, d2TL, G = dT[..., live, :], d2T[..., live, :, :][..., live, :], geo.G[..., :, live]
+    """The coframe, d_l's column l the leading axis, T[l, ..., j] = th_j(d_l), and the coefficients of a coordinate
+    field's rough Laplacian on its own component jets: 2 K[l, ..., a, j] = 2 G_ab d_b T_jl + C_akj T_kl, so that
+    d_a X_l K[l, a, j] = g(nabla_{grad X_l} d_l, e_j); and L[l, ..., j] = g(Lap d_l, e_j) by the frame route of
+    :func:`_rough_laplacian`, over the coframe jets' live rows and the matching blocks of G, v and C."""
+    live, G, (T, dTL, d2TL) = geo._live, geo.G[..., :, geo._live], (np.einsum("...l->l...", a) for a in geo._coframe)
     K2 = np.einsum("...ab,l...bj->l...aj", 2 * G, dTL) + np.einsum("...akj,l...k->l...aj", geo.C, T)
     rows = _Operator(G[..., live, :], geo.v[..., live], geo.C[..., live, :, :], geo.M)  # not G[..., live, live]
-    return T, dT, K2, _rough_laplacian(rows, T, dTL, d2TL)
+    return T, K2, _rough_laplacian(rows, T, dTL, d2TL)
 
 
 def _field_data(X: AnalyticVectorField, p):
@@ -144,19 +148,20 @@ def _field_data(X: AnalyticVectorField, p):
     own = X.component_jets(p)
     if X.basis == "frame":
         return geo, own[0], own[1], _rough_laplacian(geo, *own)
-    _, _, K2, L = _coordinate_basis(geo)
+    _, K2, L = _coordinate_basis(geo)
     basis = geo.coframe[0], np.einsum("l...aj->...alj", K2), np.einsum("l...j->...lj", L)
     return (geo, *_apply(geo.coframe, own[:2]), _rough_laplacian(geo, *own, basis))
 
 
-def _stack(geo, stack, p):
-    """The fields f_m d_{l_m}, given as (f_m, l_m) pairs, as one-component coordinate fields: the profiles' jets
-    (f, df, d2f)[m, ..., 1] from one evaluation, the member axis in front of the batch-innermost buffer, and their
-    directions' columns, (T, dT) for :func:`_apply` and (T, 2 K, L) for :func:`_rough_laplacian`."""
-    profiles, dirs = zip(*stack)
-    own = [np.moveaxis(a, -2, 0) for a in _jets(lambda *q: tuple((f(*q),) for f in profiles), p)]
-    T, dT, K2, L = (A[list(dirs)] for A in _coordinate_basis(geo))
-    return own, (T[..., None], dT[..., None]), (T[..., None], K2[..., None, :], L[..., None, :])
+def _stack(geo, form, dirs, p):
+    """The fields f_m d_{l_m}, f_m entry m of a :func:`_form` and l_m = dirs[m], from one evaluation packed over the
+    variables its entries read: their rough Laplacians [m, ..., j], over those rows with the matching blocks of G, v and
+    2 K; the profiles' first-order jets (f, df)[m, ..., 1], df over those rows alone; and the rows (see _packed)."""
+    jets, rows = _packed(form, p)
+    f, df, d2f = (np.moveaxis(a, -2, 0) for a in jets)  # the member axis in front
+    T, K2, L = (A[list(dirs)] for A in _coordinate_basis(geo))
+    op = _Operator(geo.G[..., rows, :][..., :, rows], geo.v[..., rows], None, None)
+    return _rough_laplacian(op, f, df, d2f, (T[..., None], K2[..., rows, None, :], L[..., None, :])), (f, df), rows
 
 
 def _require_st_only(grad: np.ndarray):

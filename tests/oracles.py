@@ -17,9 +17,11 @@ import math
 
 import numpy as np
 
-from geoverify.chart import Point, _apply, coframe_jets, coordinate_field, frame_field, frame_jets, metric_jets
+from geoverify.chart import Point, _apply, _in_four, coframe_jets, coordinate_field, frame_field, frame_jets
+from geoverify.chart import metric_jets
 from geoverify.curvature import geometry_at
-from geoverify.harmonic import CorollaryFamily, _horizontal_tension, _profile, _rough_laplacian, _stack, corollary_field
+from geoverify.harmonic import CorollaryFamily, _form, _horizontal_tension, _profile, _rough_laplacian, _stack
+from geoverify.harmonic import corollary_field
 from geoverify.jets import sqrt
 from geoverify.soliton import SolitonParams, soliton_field
 
@@ -276,34 +278,41 @@ def four_row_geometry(P) -> dict:
 
 def four_row_coordinate_basis(geo):
     """The reference for :func:`geoverify.harmonic._coordinate_basis`, which contracts the coframe's derivatives over
-    the geometry's live rows only: the same formulas on the same geometry, over all four rows, d_l's column first."""
+    the geometry's live rows only: the same formulas on the dense coframe jets, over all four rows, d_l's column
+    first."""
     T, dT, d2T = (np.moveaxis(a, -1, 0) for a in geo.coframe)
     K2 = np.einsum("...ab,l...bj->l...aj", 2 * geo.G, dT) + np.einsum("...akj,l...k->l...aj", geo.C, T)
     lap = np.einsum("...ab,l...abk->l...k", geo.G, d2T) + np.einsum("...b,l...bk->l...k", geo.v, dT)
     L = lap + np.einsum("...akj,l...ak->l...j", geo.C, dT) + np.einsum("l...k,...kj->l...j", T, geo.M)
-    return T, dT, K2, L
+    return T, K2, L
 
 
 def single_direction_stack(rng, batch):
-    """Fields f d_l as (f, l) pairs: the four families with constants per point of the batch, the witnesses' members
-    at (c1, c2) = (1, 0) and (0, 1), and shifted power laws along d/ds and d/dt."""
+    """Fields f d_l as the profiles f(x, y, s, t, power) of :func:`geoverify.harmonic._form` and their directions l:
+    the four families with constants per point of the batch, the witnesses' members at (c1, c2) = (1, 0) and (0, 1),
+    and shifted power laws along d/ds and d/dt."""
     c = rng.uniform(-3.0, 3.0, (4, 2) + batch)
     families = [CorollaryFamily(k, *c[k - 1]) for k in (1, 2, 3, 4)]
     families += [CorollaryFamily(k, *c1c2) for c1c2 in ((1.0, 0.0), (0.0, 1.0)) for k in (1, 2, 3, 4)]
-    power = lambda a: lambda x, y, s, t: t**a
-    return [(_profile(f), f.index - 1) for f in families] + [(power(1.3), 2), (power(0.2), 3)]
+    power_law = lambda a: lambda x, y, s, t, power: power(a)
+    return [_profile(f) for f in families] + [power_law(1.3), power_law(0.2)], [f.index - 1 for f in families] + [2, 3]
 
 
-def stack_route(P, stack):
-    """Each stack member's rough Laplacian and horizontal tension, taken from one stack as the checks take them."""
+def stack_route(P, profiles, dirs):
+    """Each stack member's rough Laplacian and horizontal tension, taken from one stack as the checks take them: its
+    first-order frame-component jets from the profiles' rows, embedded in all four, and the directions' coframe
+    columns."""
     geo = geometry_at(P)
-    own, coframe, basis = _stack(geo, stack, P)
-    return _rough_laplacian(geo, *own, basis), _horizontal_tension(geo, *_apply(coframe, own[:2]))
+    lap, (f, df), rows = _stack(geo, _form(profiles), dirs, P)
+    T, dT = (np.einsum("...l->l...", a)[dirs, ..., None] for a in geo.coframe[:2])
+    return lap, _horizontal_tension(geo, *_apply((T, dT), (f, _in_four(df, rows, (-2,)))))
 
 
 def as_field(f, l):
-    """The single-direction field f d_l as a four-component coordinate field."""
-    return coordinate_field(*(f if k == l else (lambda x, y, s, t: 0.0) for k in range(4)))
+    """The single-direction field f d_l, its profile f(x, y, s, t, power) alone in a form, as a four-component
+    coordinate field."""
+    form = _form([f])
+    return coordinate_field(*((lambda *q: form(*q)[0][0]) if k == l else (lambda x, y, s, t: 0.0) for k in range(4)))
 
 
 def product_rule_fields(rng, batch=()):

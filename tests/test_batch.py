@@ -61,7 +61,8 @@ def test_geometry_batch_matches_single_points(batch):
         geo = curvature.geometry_at(P)
         for name in ("E", "fc", "Rfr", "G", "v", "C", "M"):
             assert_batch_matches(getattr(geo, name), [getattr(curvature.geometry_at(p), name) for p in pts], P.dtype)
-        assert_batch_matches(geo._dfc, [curvature.geometry_at(p)._dfc for p in pts], P.dtype)  # d_m fc, live m
+        # d_m fc over the batch's live m, s and t; a point's jets are dense, so its live m are all four
+        assert_batch_matches(geo._dfc, [curvature.geometry_at(p)._dfc[geo._live] for p in pts], P.dtype)
         for k in range(3):  # the carried coframe jets
             assert_batch_matches(geo.coframe[k], [curvature.geometry_at(p).coframe[k] for p in pts], P.dtype)
         for fn in (
@@ -239,10 +240,9 @@ def test_frame_component_jets_convert_with_the_carried_coframe_bit_for_bit(batch
 
 @pytest.mark.parametrize("name", ["nongradient", "theorem1"])
 def test_first_order_checks_never_request_a_hessian(name, monkeypatch):
-    calls, jets_of = [], chart._jets
-    record = lambda f, p, order=2: calls.append((f, order)) or jets_of(f, p, order)
-    for module in (chart, soliton):
-        monkeypatch.setattr(module, "_jets", record)
+    calls, packed = [], chart._packed
+    record = lambda f, p, order=2, dense=False: calls.append((f, order)) or packed(f, p, order, dense)
+    monkeypatch.setattr(chart, "_packed", record)  # every closed form's evaluation, dense or not
     assert run_suite(name, RunConfig(points=50)).passed
     # the metric and the fields are first-order jets; only theorem1's geometry build differentiates twice, the frame
     assert [f for f, order in calls if order != 1] == ([] if name == "nongradient" else [chart._frames])

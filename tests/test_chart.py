@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geoverify import chart
+from geoverify import chart, harmonic
 from geoverify.chart import (
     AnalyticVectorField,
     Point,
@@ -12,8 +12,9 @@ from geoverify.chart import (
     metric_at,
     metric_jets,
 )
-from geoverify.curvature import frame_connection, geometry_at
+from geoverify.curvature import frame_connection, geometry_at, ricci_frame
 from geoverify.jets import DomainError, point_jets, sqrt
+from geoverify.soliton import SolitonParams, soliton_field
 
 from oracles import (
     coframe_entries,
@@ -23,6 +24,7 @@ from oracles import (
     inverse_metric_entries,
     metric_entries,
     rand_point,
+    single_direction_stack,
 )
 
 
@@ -125,6 +127,46 @@ def test_non_finite_coordinates_are_outside_the_domain(bad, slot):
             with pytest.raises(DomainError) as exc:
                 evaluate(batch)
             assert exc.value.index == first
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024, reason="longdouble is float64 on this platform")
+def test_a_finite_longdouble_beyond_float64s_range_is_in_the_domain():
+    # math.isfinite reads a coordinate as a float, where 1e400 is inf; the point is finite, as it is in a batch
+    big = np.longdouble("1e400")
+    p = Point(0, 0, 0, big)
+    ric, batch = ricci_frame(p), ricci_frame(np.array([p.astuple()]))
+    assert ric.dtype == batch.dtype == np.longdouble and np.array_equal(ric, batch[0]) and np.all(np.isfinite(ric))
+    for bad in (np.longdouble("inf"), np.longdouble("nan"), -big):
+        with pytest.raises(DomainError):
+            Point(0, 0, 0, bad)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (300,), (3, 5)])
+def test_packed_jets_are_the_dense_jets_on_their_variables(batch):
+    # a closed form packed over the variables its entries read is the dense layout's rows for them, bit for bit; the
+    # dense layout holds exact zeros in the others.  A point's and a first-order batch's jets are dense: all four
+    rng = np.random.default_rng(57)
+    P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    soliton = soliton_field(SolitonParams(*rng.uniform(-3.0, 3.0, (5,) + batch)))
+    forms = [
+        (chart._frames, (2, 3)),
+        (chart._metric, (2, 3)),
+        (harmonic._form(single_direction_stack(rng, batch)[0]), (2, 3)),
+        (lambda *q: tuple(f(*q) for f in soliton.components), (0, 1, 2, 3)),
+    ]
+    m = len(batch)  # the first derivative axis
+    for f, V in forms:
+        for order in (1, 2):
+            packed, rows = chart._packed(f, P, order)
+            dense, got = chart._jets(f, P, order), list(np.arange(4)[rows])
+            assert got == list(V if batch and order == 2 else (0, 1, 2, 3))
+            other = [k for k in range(4) if k not in got]
+            assert np.array_equal(packed[0], dense[0])
+            assert np.array_equal(packed[1], np.take(dense[1], got, axis=m))
+            assert not np.any(np.take(dense[1], other, axis=m))
+            if order == 2:
+                assert np.array_equal(packed[2], np.take(np.take(dense[2], got, axis=m), got, axis=m + 1))
+                assert not np.any(np.take(dense[2], other, axis=m)) and not np.any(np.take(dense[2], other, axis=m + 1))
 
 
 def test_field_basis_tag_is_validated():

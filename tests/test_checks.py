@@ -441,3 +441,19 @@ def test_only_the_curvature_claims_build_the_curvature_tensor(monkeypatch):
         assert run_suite(name, RunConfig(points=20)).passed
         assert built, name
         assert all((("Rfr" in vars(geo)), ("_dfc" in vars(geo))) == (rfr, dfc) for geo in built), name
+
+
+def test_the_witnesses_tensions_contract_arrays_with_the_batch_innermost(monkeypatch):
+    # a contraction over an array whose point axis is not its fastest loops over length-4 axes instead (ten times
+    # slower on the witnesses' constant stack): the connection A it forms and the gradients it is given, [..., point,
+    # a, k], keep the point axis innermost in memory
+    from geoverify import harmonic
+
+    contracted, nabla = [], harmonic._nabla
+    record = lambda geo, val, grad: contracted.append((nabla(geo, val, grad), grad)) or contracted[-1][0]
+    monkeypatch.setattr(harmonic, "_nabla", record)
+    assert run_suite("harmonic-map-witnesses", RunConfig(points=100)).passed
+    assert len(contracted) == 2  # the coordinate stack, then the constant one
+    for arrays in contracted:
+        for a in arrays:
+            assert a.shape[-3] == 100 and a.strides[-3] == a.itemsize, a.strides

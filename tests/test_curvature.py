@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geoverify import curvature
-from geoverify.chart import Point
+from geoverify.chart import Point, frame_jets
 from geoverify.curvature import (
     _build,
     coercivity_check,
@@ -63,22 +63,29 @@ def test_live_direction_build_is_bit_identical_to_the_four_row_contraction(batch
     geo, ref = _build(P), four_row_geometry(P)
     for name in GEOMETRY_ARRAYS:
         assert np.array_equal(getattr(geo, name), ref[name]), name
-    # F4's frame and coframe depend on s and t alone: the x and y rows are the exact zeros the build leaves out
-    assert list(np.arange(4)[geo._live]) == [2, 3]
+    # the live rows are the variables the frame and coframe jets carry: on a batch s and t, since F4's frame and
+    # coframe depend on them alone, so the x and y rows, exact zeros, never form; at a point, whose jets are dense, all
+    live = [0, 1, 2, 3] if batch == () else [2, 3]
+    assert list(np.arange(4)[frame_jets(P, coframe=True)[1]]) == list(np.arange(4)[geo._live]) == live
     dfc = ref["dfc"]
-    assert np.array_equal(geo._dfc, dfc[..., 2:, :, :, :]) and not np.any(dfc[..., :2, :, :, :])
+    assert np.array_equal(geo._dfc, dfc[..., live, :, :, :]) and not np.any(dfc[..., :2, :, :, :])
 
 
 @pytest.mark.parametrize("t, live", [(1e-320, [0, 1, 2, 3]), (1e-200, [0, 1, 2, 3]), (1e200, [2, 3])])
 def test_nan_and_inf_derivative_rows_count_as_live(t, live):
-    # where t under- or overflows a single point's dense jets, its x and y rows hold NaN or inf (0 * inf), and are
-    # contracted like any nonzero row; a batch's jets have no x or y slots, so there those rows are exact zeros
+    # where t under- or overflows a single point's dense jets, its x and y rows hold NaN or inf (0 * inf): ``live`` are
+    # the point's rows with some derivative not exactly zero.  A point's live rows are all four, so those are contracted
+    # like the others; a batch's jets carry s and t alone, so there the x and y rows never form
     P = np.array([[0.5, -1.0, 1.5, t], [1.0, 1.0, -0.3, 2.0 * t]])
-    for points, rows in ((P[0], live), (P, [2, 3])):
+    for points, rows in ((P[0], [0, 1, 2, 3]), (P, [2, 3])):
         with np.errstate(all="ignore"):  # the fields formed on read overflow too: read every one of them in here
+            (_, dF, d2F), variables = frame_jets(points, coframe=True)
             geo, ref = _build(points), four_row_geometry(points)
             got = {name: getattr(geo, name) for name in GEOMETRY_ARRAYS + ("ric",)}
-        assert list(np.arange(4)[geo._live]) == rows
+        assert list(np.arange(4)[variables]) == list(np.arange(4)[geo._live]) == rows
+        if points.ndim == 1:
+            nonzero = np.any(dF != 0.0, axis=(1, 2, 3)) | np.any(d2F != 0.0, axis=(1, 2, 3, 4))
+            assert list(np.flatnonzero(nonzero)) == live
         for name in GEOMETRY_ARRAYS:
             assert np.array_equal(got[name], ref[name], equal_nan=True), name
 

@@ -145,9 +145,9 @@ def test_live_row_coordinate_basis_equals_the_four_row_contraction(rotated):
 
 def test_stack_members_equal_their_own_fields_bit_for_bit(rotated):
     P, _ = rotated
-    stack = single_direction_stack(np.random.default_rng(805), (N,))
-    lap, tension = stack_route(P, stack)
-    for m, (f, l) in enumerate(stack):
+    profiles, dirs = single_direction_stack(np.random.default_rng(805), (N,))
+    lap, tension = stack_route(P, profiles, dirs)
+    for m, (f, l) in enumerate(zip(profiles, dirs)):
         X = as_field(f, l)
         assert np.array_equal(lap[m], harmonic.rough_laplacian(X, P)), m
         assert np.array_equal(tension[m], harmonic.horizontal_tension(X, P)), m

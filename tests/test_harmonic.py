@@ -271,10 +271,10 @@ def test_stack_members_equal_their_own_fields_bit_for_bit(batch):
     # a stack takes each member f d_l on its direction's columns alone: the full basis adds only exact zeros to that
     rng = np.random.default_rng(54)
     P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
-    stack = single_direction_stack(rng, batch)
-    lap, tension = stack_route(P, stack)
-    assert lap.shape == tension.shape == (len(stack),) + batch + (4,)
-    for m, (f, l) in enumerate(stack):
+    profiles, dirs = single_direction_stack(rng, batch)
+    lap, tension = stack_route(P, profiles, dirs)
+    assert lap.shape == tension.shape == (len(dirs),) + batch + (4,)
+    for m, (f, l) in enumerate(zip(profiles, dirs)):
         X = as_field(f, l)
         assert np.array_equal(lap[m], rough_laplacian(X, P)), m
         assert np.array_equal(tension[m], horizontal_tension(X, P)), m
