@@ -200,7 +200,7 @@ class AnalyticVectorField:
 
     def frame_component_jets(self, p, coframe: _JetArrays | None = None, order: int = 2) -> tuple:
         """Jets of the frame components th_j(X) at p to ``order`` 1 or 2 (converting if needed, with the coframe jets
-        at p if given): (val, grad) or (val, grad, hess)."""
+        at p if given, to at least that order): (val, grad) or (val, grad, hess)."""
         own = self.component_jets(p, order)
         return own if self.basis == "frame" else _apply(coframe or coframe_jets(p), own)
 

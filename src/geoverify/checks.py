@@ -189,7 +189,8 @@ def _stream(cfg: RunConfig, name: str) -> np.random.Generator:
 
 def _sample_points(cfg: RunConfig, name: str) -> np.ndarray:
     """The check's points as an (N, 4) batch: row i is the i-th point drawn from the check's stream."""
-    return _stream(cfg, name).uniform(cfg.box.lows(), cfg.box.highs(), (cfg.points, 4))
+    low, high = cfg.box.lows(), cfg.box.highs()  # what uniform(low, high) draws, bit for bit, without its broadcast
+    return low + (high - low) * _stream(cfg, name).random((cfg.points, 4))
 
 
 def _uniform(cfg: RunConfig, stream: str, low: float, high: float, size: tuple) -> np.ndarray:
@@ -326,7 +327,7 @@ def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
     def block(Q, rows):
         geo = geometry_at(Q)
         lap, (f, df), live = harmonic._stack(geo, coordinate, dirs, Q)
-        T, dT = (np.einsum("...l->l...", a)[dirs, ..., None] for a in geo.coframe[:2])  # the directions' columns
+        T, dT = (np.einsum("...l->l...", a)[dirs, ..., None] for a in geo.coframe)  # the directions' columns
         mags = harmonic._tension(geo, *harmonic._apply((T, dT), (f, _in_four(df, live, (-2,)))), lap).max_component()
         # constant frame fields e1..e4, zero and k, the batch innermost: no gradient, so Lap X = X M
         k, val, grad = comp[rows], np.zeros((6, 4, len(Q))).transpose(0, 2, 1), np.zeros((4, 4, len(Q)))
@@ -344,7 +345,8 @@ def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
 
 
 def _check_coercivity(cfg: RunConfig, P: np.ndarray):
-    vs = _uniform(cfg, "coercivity/vectors", -3.0, 3.0, (10, 4))  # [point, vector, component]
+    # [point, vector, component], the point axis innermost in memory, as in Ricci: the quadratic form loops over it
+    vs = np.asfortranarray(_uniform(cfg, "coercivity/vectors", -3.0, 3.0, (10, 4)))
 
     def block(Q, rows):
         got = coercivity_check(Q[:, None], vs[rows], soliton.SOLITON_LAMBDA)  # (n, 1) meets (n, 10)

@@ -18,6 +18,12 @@ exact zeros in the dense layout, so every result is the full contraction's
 bit for bit.  Only a point's dense jets have x and y rows, which hold NaN or
 inf (0*inf) where t under- or overflows, and they are contracted with the rest.
 
+The connection's derivatives dfc = d_m fc_ijk are formed only for Ricci,
+the curvature table and a single point's M.  A batch's M reads dfc through
+one trace, sum_i e_i(fc_ikj), and Koszul's formula is linear, so that trace
+is taken first, from the jets: (P_kj - P_jk - Q_kj) / 2 with the 4x4 traces
+P_kj = sum_i e_i(c_ikj) and Q_kj = sum_i e_i(c_kji) (see Geometry).
+
 Sign conventions:
 
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
@@ -50,10 +56,11 @@ class Geometry:
 
     Batch axes come first, then derivative indices, then the entry.  The build forms E and fc from views of the frame
     and coframe jets packed over the live coordinates (s and t on a batch, all four at a point), the rest on first read
-    (and kept): ``lemma1`` (fc) and ``harmonic-components`` (G, v) never form dfc, only ``riemc`` and the tension Rfr.
+    (and kept).  dfc is formed by ric, Rfr and a point's M alone: a batch's M takes its trace from P and Q, so of the
+    checks only ``lemma2``, ``theorem1``, ``coercivity``, ``riemc`` and the witnesses' tension form it.
 
         E[..., i,a]            frame e_{i+1} components against d/dx_a
-        coframe                jets (T, dT, d2T) of the coframe rows th_{k+1}, dense, for converting coordinate fields
+        coframe                jets (T, dT) of the coframe rows th_{k+1}, dense, for converting coordinate fields
         fc[..., i,j,k]         g(nabla_{e_i} e_j, e_k); tau_m = sum_i fc_iim, so sum_i nabla_{e_i} e_i = tau_m e_m
         ric[..., i,j]          Ric(e_i, e_j) = e_i(tau_j) - e_a(fc_iaj) + tau_m fc_imj - (fc_iam + c_ima) fc_amj
         Rfr[..., i,j,k,l]      g(R(e_i,e_j)e_k, e_l), 256 entries per point
@@ -63,7 +70,14 @@ class Geometry:
         G[..., a,b]            sum_i E_ia E_ib, the inverse metric
         v[..., b]              sum_i e_i(E_ib) - tau_m E_mb
         C[..., a,k,j]          2 sum_i E_ia fc_ikj
-        M[..., k,j]            (Lap e_k)_j = sum_i [e_i(fc_ikj) + fc_ikm fc_imj] - tau_m fc_mkj
+        M[..., k,j]            (Lap e_k)_j = sum_i [e_i(fc_ikj) + fc_ikm fc_imj] - tau_m fc_mkj, where on a batch
+                               sum_i e_i(fc_ikj) = (P_kj - P_jk - Q_kj) / 2 from B_ijb = [e_i, e_j]^b and W_mb =
+                               sum_i E_im T_ib (m, a over the live coordinates):
+            U_kb = sum_i e_i(B_ikb) = eE_a d_a E_kb + G_ma d_m d_a E_kb - d_m E_ka sum_i E_im d_a E_ib
+                                      - E_ka sum_i e_i(d_a E_ib)
+            P_kj = sum_i e_i(c_ikj) = U_kb T_jb + B_ikb e_i(T_jb)
+            Y_kj = sum_i T_ib e_i(D_kjb) = d_m E_ka W_mb d_a E_jb + E_ka W_mb d_m d_a E_jb,  D_ijb = e_i(E_jb)
+            Q_kj = sum_i e_i(c_kji) = Y_kj - Y_jk + B_kjb sum_i e_i(T_ib)
 
     A build of up to 1024 rows frees a few MB.  glibc's dynamic trim threshold handed about 4.7 MB of it back to the OS
     per block, and the next block faulted it in again (1100 of the 1195 minor faults of a warm 300-point ``corollary``
@@ -80,9 +94,9 @@ class Geometry:
     _stage2: tuple[np.ndarray, np.ndarray, np.ndarray]  # d_m E, d_m d_n E (live m, n); B = [e_i, e_j]^b
 
     @cached_property
-    def coframe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # dense, for converting a field's own jets
-        (T, dT, d2T), live = self._coframe, self._live  # a point's jets are dense already: no copy
-        return self._coframe if dT.shape[-3] == 4 else (T, _in_four(dT, live, (-3,)), _in_four(d2T, live, (-4, -3)))
+    def coframe(self) -> tuple[np.ndarray, np.ndarray]:  # dense, for converting a field's own jets to first order
+        (T, dT, _), live = self._coframe, self._live  # a point's jets are dense already: no copy
+        return (T, dT) if dT.shape[-3] == 4 else (T, _in_four(dT, live, (-3,)))
 
     @cached_property
     def _dfc(self) -> np.ndarray:
@@ -107,8 +121,37 @@ class Geometry:
         return 2 * np.einsum("...ia,...ikj->...akj", self.E, self.fc)
 
     @cached_property
+    def _P(self) -> np.ndarray:
+        """P[..., k,j] = sum_i e_i(c_ikj) on a batch, by way of U_kb = sum_i e_i(B_ikb) (see the class docstring)."""
+        (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self._coframe
+        # G's live block (in two steps: G[..., live, live] of an index array is a diagonal), not sum_i E_im E_ia
+        # inside the sum: cheaper, and non-finite only where G overflows (t past about 1e154), which M's readers read
+        EL, G = self.E[..., live], self.G[..., live, :][..., :, live]
+        H = np.einsum("...im,...aib->...mab", EL, dEL)  # sum_i E_im d_a E_ib
+        Z = np.einsum("...im,...maib->...ab", EL, d2EL)  # sum_i e_i(d_a E_ib)
+        U = np.einsum("...a,...akb->...kb", self._eE[..., live], dEL) + np.einsum("...ma,...makb->...kb", G, d2EL)
+        U -= np.einsum("...mka,...mab->...kb", dEL[..., live], H) + np.einsum("...ka,...ab->...kb", EL, Z)
+        BE = np.einsum("...ikb,...im->...mkb", B, EL)  # sum_i B_ikb e_i = sum_m BE_mkb d_m
+        return np.einsum("...kb,...jb->...kj", U, T) + np.einsum("...mkb,...mjb->...kj", BE, dT)
+
+    @cached_property
+    def _Q(self) -> np.ndarray:
+        """Q[..., k,j] = sum_i e_i(c_kji) on a batch, by way of Y_kj = sum T_ib e_i(D_kjb) (see the class docstring)."""
+        (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self._coframe
+        EL = self.E[..., live]
+        W = np.einsum("...im,...ib->...mb", EL, T)  # sum_i T_ib e_i = sum_m W_mb d_m
+        Y = np.einsum("...mka,...maj->...kj", dEL[..., live], np.einsum("...mb,...ajb->...maj", W, dEL))
+        Y += np.einsum("...ka,...aj->...kj", EL, np.einsum("...mb,...majb->...aj", W, d2EL))
+        div = np.einsum("...im,...mib->...b", EL, dT)  # sum_i e_i(T_ib)
+        return Y - np.swapaxes(Y, -1, -2) + np.einsum("...kjb,...b->...kj", B, div)
+
+    @cached_property
     def M(self) -> np.ndarray:
-        M = np.einsum("...ia,...aikj->...kj", self.E[..., self._live], self._dfc)
+        if self.E.ndim == 2:  # a point: one einsum over its dfc costs less than the sixteen small calls of the traces
+            M = np.einsum("...ia,...aikj->...kj", self.E[..., self._live], self._dfc)
+        else:  # sum_i e_i(fc_ikj) by Koszul's formula, which is linear: (P_kj - P_jk - Q_kj) / 2
+            P = self._P
+            M = 0.5 * (P - np.swapaxes(P, -1, -2) - self._Q)
         M += np.einsum("...ikm,...imj->...kj", self.fc, self.fc)
         M -= np.einsum("...m,...mkj->...kj", self._tau, self.fc)
         return M

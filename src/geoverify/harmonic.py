@@ -130,15 +130,17 @@ def corollary_field(fam: CorollaryFamily) -> AnalyticVectorField:
     return coordinate_field(*comps)
 
 
-def _coordinate_basis(geo):
+def _coordinate_basis(geo, rows=slice(None)):
     """The coframe, d_l's column l the leading axis, T[l, ..., j] = th_j(d_l), and the coefficients of a coordinate
-    field's rough Laplacian on its own component jets: 2 K[l, ..., a, j] = 2 G_ab d_b T_jl + C_akj T_kl, so that
-    d_a X_l K[l, a, j] = g(nabla_{grad X_l} d_l, e_j); and L[l, ..., j] = g(Lap d_l, e_j) by the frame route of
-    :func:`_rough_laplacian`, over the coframe jets' live rows and the matching blocks of G, v and C."""
+    field's rough Laplacian on its own component jets: 2 K[l, ..., a, j] = 2 G_ab d_b T_jl + C_akj T_kl for the
+    derivative rows a in ``rows`` (all four by default), so that d_a X_l K[l, a, j] = g(nabla_{grad X_l} d_l, e_j); and
+    L[l, ..., j] = g(Lap d_l, e_j) by the frame route of :func:`_rough_laplacian`, over the coframe jets' live rows and
+    the matching blocks of G, v and C."""
     live, G, (T, dTL, d2TL) = geo._live, geo.G[..., :, geo._live], (np.einsum("...l->l...", a) for a in geo._coframe)
-    K2 = np.einsum("...ab,l...bj->l...aj", 2 * G, dTL) + np.einsum("...akj,l...k->l...aj", geo.C, T)
-    rows = _Operator(G[..., live, :], geo.v[..., live], geo.C[..., live, :, :], geo.M)  # not G[..., live, live]
-    return T, K2, _rough_laplacian(rows, T, dTL, d2TL)
+    C = geo.C[..., rows, :, :]
+    K2 = np.einsum("...ab,l...bj->l...aj", 2 * G[..., rows, :], dTL) + np.einsum("...akj,l...k->l...aj", C, T)
+    op = _Operator(G[..., live, :], geo.v[..., live], geo.C[..., live, :, :], geo.M)  # not G[..., live, live]
+    return T, K2, _rough_laplacian(op, T, dTL, d2TL)
 
 
 def _field_data(X: AnalyticVectorField, p):
@@ -159,9 +161,9 @@ def _stack(geo, form, dirs, p):
     2 K; the profiles' first-order jets (f, df)[m, ..., 1], df over those rows alone; and the rows (see _packed)."""
     jets, rows = _packed(form, p)
     f, df, d2f = (np.moveaxis(a, -2, 0) for a in jets)  # the member axis in front
-    T, K2, L = (A[list(dirs)] for A in _coordinate_basis(geo))
+    T, K2, L = (A[list(dirs)] for A in _coordinate_basis(geo, rows))
     op = _Operator(geo.G[..., rows, :][..., :, rows], geo.v[..., rows], None, None)
-    return _rough_laplacian(op, f, df, d2f, (T[..., None], K2[..., rows, None, :], L[..., None, :])), (f, df), rows
+    return _rough_laplacian(op, f, df, d2f, (T[..., None], K2[..., None, :], L[..., None, :])), (f, df), rows
 
 
 def _require_st_only(grad: np.ndarray):

@@ -276,11 +276,11 @@ def four_row_geometry(P) -> dict:
     }
 
 
-def four_row_coordinate_basis(geo):
+def four_row_coordinate_basis(geo, P):
     """The reference for :func:`geoverify.harmonic._coordinate_basis`, which contracts the coframe's derivatives over
-    the geometry's live rows only: the same formulas on the dense coframe jets, over all four rows, d_l's column
+    the geometry's live rows only: the same formulas on the dense coframe jets at P, over all four rows, d_l's column
     first."""
-    T, dT, d2T = (np.moveaxis(a, -1, 0) for a in geo.coframe)
+    T, dT, d2T = (np.moveaxis(a, -1, 0) for a in (*geo.coframe, coframe_jets(P)[2]))
     K2 = np.einsum("...ab,l...bj->l...aj", 2 * geo.G, dT) + np.einsum("...akj,l...k->l...aj", geo.C, T)
     lap = np.einsum("...ab,l...abk->l...k", geo.G, d2T) + np.einsum("...b,l...bk->l...k", geo.v, dT)
     L = lap + np.einsum("...akj,l...ak->l...j", geo.C, dT) + np.einsum("l...k,...kj->l...j", T, geo.M)
@@ -329,4 +329,4 @@ def product_rule_fields(rng, batch=()):
 def frame_hessian_laplacian(X, P):
     """The rough Laplacian by the frame route, on frame-component jets converted to second order."""
     geo = geometry_at(P)
-    return _rough_laplacian(geo, *X.frame_component_jets(P, geo.coframe))
+    return _rough_laplacian(geo, *X.frame_component_jets(P))

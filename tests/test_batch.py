@@ -63,8 +63,9 @@ def test_geometry_batch_matches_single_points(batch):
             assert_batch_matches(getattr(geo, name), [getattr(curvature.geometry_at(p), name) for p in pts], P.dtype)
         # d_m fc over the batch's live m, s and t; a point's jets are dense, so its live m are all four
         assert_batch_matches(geo._dfc, [curvature.geometry_at(p)._dfc[geo._live] for p in pts], P.dtype)
-        for k in range(3):  # the carried coframe jets
+        for k in range(2):  # the carried coframe jets
             assert_batch_matches(geo.coframe[k], [curvature.geometry_at(p).coframe[k] for p in pts], P.dtype)
+        assert_batch_matches(chart.coframe_jets(P)[2], [chart.coframe_jets(p)[2] for p in pts], P.dtype)
         for fn in (
             chart.metric_at,
             chart.frame_matrix,
@@ -221,12 +222,13 @@ def test_frame_component_jets_convert_with_the_carried_coframe_bit_for_bit(batch
     _, P, _ = batch
     fields = [xy_field(), constant_frame_field([1.0, -2.0, 0.5, 3.0]), corollary_field(CorollaryFamily(3, 1.0, 0.5))]
     own = [X.frame_component_jets(P) for X in fields]
-    carried = curvature.geometry_at(P).coframe
+    carried = curvature.geometry_at(P).coframe  # first order: the second takes d2T from the chart
+    second = (*carried, chart.coframe_jets(P)[2])
     calls = []
     coframe_jets = chart.coframe_jets
     monkeypatch.setattr(chart, "coframe_jets", lambda p: calls.append(np.shape(p)) or coframe_jets(p))
     # the coframe a geometry carries converts them with no coframe evaluation, to either order
-    given = [X.frame_component_jets(P, carried) for X in fields]
+    given = [X.frame_component_jets(P, second) for X in fields]
     first = [X.frame_component_jets(P, carried, order=1) for X in fields]
     assert calls == []
     for one, two, first_order in zip(own, given, first):

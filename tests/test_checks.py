@@ -426,14 +426,14 @@ def test_only_the_curvature_claims_build_the_curvature_tensor(monkeypatch):
     # check: (forms the 256-entry Rfr, forms the second-derivative stage dfc); nongradient builds no geometry
     forms = {
         "coercivity": (False, True),
-        "corollary": (False, True),
+        "corollary": (False, False),
         "harmonic-components": (False, False),
         "harmonic-map-witnesses": (True, True),
         "lemma1": (False, False),
         "lemma2": (False, True),
         "riemc": (True, True),
         "theorem1": (False, True),
-        "theorem3": (False, True),
+        "theorem3": (False, False),
     }
     assert sorted(forms) == sorted(set(CHECK_NAMES) - {"nongradient"})
     for name, (rfr, dfc) in forms.items():

@@ -62,7 +62,10 @@ def test_live_direction_build_is_bit_identical_to_the_four_row_contraction(batch
     P = np.random.default_rng(17).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
     geo, ref = _build(P), four_row_geometry(P)
     for name in GEOMETRY_ARRAYS:
-        assert np.array_equal(getattr(geo, name), ref[name]), name
+        if name == "M" and batch != ():  # a batch takes M from the Koszul traces, not from dfc: a route of its own
+            assert np.max(np.abs(geo.M - ref["M"])) <= 1e-13 * np.max(np.abs(ref["M"]))
+        else:
+            assert np.array_equal(getattr(geo, name), ref[name]), name
     # the live rows are the variables the frame and coframe jets carry: on a batch s and t, since F4's frame and
     # coframe depend on them alone, so the x and y rows, exact zeros, never form; at a point, whose jets are dense, all
     live = [0, 1, 2, 3] if batch == () else [2, 3]
@@ -87,7 +90,13 @@ def test_nan_and_inf_derivative_rows_count_as_live(t, live):
             nonzero = np.any(dF != 0.0, axis=(1, 2, 3)) | np.any(d2F != 0.0, axis=(1, 2, 3, 4))
             assert list(np.flatnonzero(nonzero)) == live
         for name in GEOMETRY_ARRAYS:
-            assert np.array_equal(got[name], ref[name], equal_nan=True), name
+            if name == "M" and points.ndim == 2:  # the Koszul traces' G d2E term is non-finite where G is (t = 1e200)
+                finite = np.isfinite(ref["M"]) & np.isfinite(got["G"]).all(axis=(-2, -1))[..., None, None]
+                assert np.array_equal(np.isfinite(got["M"]), finite)
+                scale = np.max(np.abs(ref["M"][finite]), initial=1.0)
+                assert np.all(np.abs(got["M"] - ref["M"])[finite] <= 1e-13 * scale)
+            else:
+                assert np.array_equal(got[name], ref[name], equal_nan=True), name
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (300,), (3, 5)])

@@ -43,15 +43,22 @@ def _rotation(x, y, s, t):
     return (a, -b, 0.0, 0.0), (b, a, 0.0, 0.0), (0.0, 0.0, c, -d), (0.0, 0.0, d, c)
 
 
-def _rotated(frames):
+def _rotated(frames, rotation=_rotation):
     """The closed form R(p) @ grid(p) for the frame and the coframe grids: rows are the rotated elements."""
 
     def rotated(x, y, s, t):
-        R = _rotation(x, y, s, t)
+        R = rotation(x, y, s, t)
         rotate = lambda M: tuple(tuple(sum(R[i][k] * M[k][a] for k in range(4)) for a in range(4)) for i in range(4))
         return tuple(map(rotate, frames(x, y, s, t)))
 
     return rotated
+
+
+def _twisted(x, y, s, t):
+    """Angles that vary along their own planes (x along e1, s along e3), unlike :func:`_rotation`'s."""
+    a, b = _cayley(0.3 * x + s * t / 3.0)
+    c, d = _cayley(0.5 * x + 0.2 * s)
+    return (a, -b, 0.0, 0.0), (b, a, 0.0, 0.0), (0.0, 0.0, c, -d), (0.0, 0.0, d, c)
 
 
 @pytest.fixture
@@ -129,6 +136,20 @@ def test_live_direction_build_matches_the_four_row_contraction(rotated):
         assert np.max(np.abs(getattr(geo, name) - ref[name])) < 1e-13, name
 
 
+@pytest.mark.parametrize("trace", ["_P", "_Q"])
+def test_each_koszul_trace_of_a_batchs_m_is_needed_where_the_connection_varies(trace, monkeypatch):
+    # a batch's M takes sum_i e_i(fc_ikj) = (P_kj - P_jk - Q_kj) / 2 from the traces P and Q, which vanish on F4's own
+    # frame.  Q_kj = -d(tau)(e_k, e_j) for tau = tau_m th_m, and a rotation whose angles are constant along their own
+    # planes, as the fixture's are, leaves tau as it is: there Q vanishes too, so this frame twists both planes
+    P = np.random.default_rng(806).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (N, 4))
+    monkeypatch.setattr(chart, "_frames", _rotated(chart._frames, _twisted))
+    ref, geo, mutant = four_row_geometry(P)["M"], curvature.geometry_at(P), curvature.geometry_at(P)
+    assert np.max(np.abs(geo.M - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(getattr(geo, trace))) > 1.0
+    vars(mutant)[trace] = 0.0 * getattr(mutant, trace)  # read before M, which then reads the zero
+    assert np.max(np.abs(mutant.M - ref)) > 0.1
+
+
 def test_product_rule_laplacian_matches_the_frame_hessian_route(rotated):
     P, _ = rotated
     for X in product_rule_fields(np.random.default_rng(804), (N,)):
@@ -139,7 +160,7 @@ def test_live_row_coordinate_basis_equals_the_four_row_contraction(rotated):
     # the live rows are the index array [0, 2, 3] here, whose block of G is not G[..., live, live], the diagonal
     P, _ = rotated
     geo = curvature.geometry_at(P)
-    for got, ref in zip(harmonic._coordinate_basis(geo), four_row_coordinate_basis(geo), strict=True):
+    for got, ref in zip(harmonic._coordinate_basis(geo), four_row_coordinate_basis(geo, P), strict=True):
         assert np.array_equal(got, ref)
 
 

@@ -284,5 +284,5 @@ def test_stack_members_equal_their_own_fields_bit_for_bit(batch):
 def test_live_row_coordinate_basis_equals_the_four_row_contraction(batch):
     P = np.random.default_rng(55).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
     geo = geometry_at(P)
-    for got, ref in zip(harmonic._coordinate_basis(geo), four_row_coordinate_basis(geo), strict=True):
+    for got, ref in zip(harmonic._coordinate_basis(geo), four_row_coordinate_basis(geo, P), strict=True):
         assert np.array_equal(got, ref)

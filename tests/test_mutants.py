@@ -148,9 +148,12 @@ MUTANTS = {
 
 # name: (owner module, attribute, mutation, why no check kills it yet)
 SURVIVORS = {
-    # dfc multiplies e_i(fc) in Rfr, ric and M, and fc is constant in F4's left-invariant frame
+    # dfc multiplies e_i(fc) in Rfr, ric and a point's M, and fc is constant in F4's left-invariant frame
     "dfc := 0": (curvature, "_build", _geometry_scaled("_dfc", 0.0), "dfc = 0 on F4's own frame"),
     "dfc x 1.001": (curvature, "_build", _geometry_scaled("_dfc", 1.001), "dfc = 0 on F4's own frame"),
+    # a batch's M takes sum_i e_i(fc_ikj) from the traces P and Q of the structure functions' derivatives instead
+    "P := 0": (curvature, "_build", _geometry_scaled("_P", 0.0), "P = 0 on F4's own frame, as dfc is"),
+    "Q := 0": (curvature, "_build", _geometry_scaled("_Q", 0.0), "Q = 0 on F4's own frame, as dfc is"),
     # an equivalent mutant: v = -g^ab Gamma^c_ab, a coordinate vector that no choice of frame changes
     "v := 0": (curvature, "_build", _geometry_scaled("v", 0.0), "v vanishes on F4 in every frame"),
 }
