@@ -102,20 +102,23 @@ def _as_points(p) -> np.ndarray:
     return P
 
 
-def _packed(f: Callable, p, order: int = 2, dense: bool = False) -> tuple[tuple, slice | np.ndarray]:
+def _packed(f: Callable, p, order: int = 2, dense: bool = False) -> tuple[tuple, slice]:
     """Evaluate the closed form ``f`` at a point or a (..., 4) batch p, in one call, to ``order`` 1 or 2.
 
     ``f(x, y, s, t)`` returns a jet or constant, or nested tuples of them, such as a 4x4 grid.  Returns ``val[..., e]``,
-    ``grad[..., m, e] = d_m entry`` and, at order 2, ``hess[..., m, n, e] = d_m d_n entry`` for m, n over the variables
-    its entries read (all four if ``dense``, or at a point or order 1), and those as a slice or else an index array.
+    ``grad[..., m, e] = d_m entry`` and, at order 2, ``hess[..., m, n, e] = d_m d_n entry`` for m, n over the span of
+    the variables its entries read, from the first to the last (all four if ``dense``, or at a point or order 1), and
+    that span as a slice: a variable inside it that no entry reads has rows of exact zeros.
     """
     P = _as_points(p)
     entries, shape = [f(*point_jets(P, order))], ()
     while isinstance(entries[0], tuple):
         shape += (len(entries[0]),)
         entries = [e for row in entries for e in row]
-    V = _ALL if dense else tuple(sorted(set().union(*{jet.V for jet in entries if isinstance(jet, Jet2)})))
-    batch, u = P.shape[:-1], len(V)
+    read = {0, NVARS - 1} if dense else set().union(*{jet.V for jet in entries if isinstance(jet, Jet2)})
+    rows = slice(min(read, default=0), max(read, default=-1) + 1)
+    V, batch = _ALL[rows], P.shape[:-1]
+    u = len(V)
     # one buffer with the batch axes innermost, viewed batch-first: einsum keeps that memory layout for its
     # results (order="K"), so every contraction downstream loops over the batch, not over length-4 axes
     B = np.zeros((1 + u + u * u * (order - 1), len(entries)) + batch, P.dtype)
@@ -125,7 +128,6 @@ def _packed(f: Callable, p, order: int = 2, dense: bool = False) -> tuple[tuple,
         else:
             B[0, k] = jet
     parts = ((B[0], shape), (B[1 : 1 + u], (u,) + shape), (B[1 + u :], (u, u) + shape))[: order + 1]
-    rows = slice(V[0], V[-1] + 1) if V and V[-1] - V[0] == u - 1 else np.array(V, dtype=int)
     return tuple(A.reshape(d + batch).transpose(_axes(len(d), len(d + batch))) for A, d in parts), rows
 
 
@@ -133,10 +135,10 @@ def _jets(f: Callable, p, order: int = 2) -> _JetArrays:
     return _packed(f, p, order, dense=True)[0]  # the dense layout: exact zeros in the rows f does not read
 
 
-def _in_four(a: np.ndarray, rows, axes: tuple) -> np.ndarray:
-    """a's rows, the variables ``rows`` from :func:`_packed`, on its negative ``axes`` in all four, other rows zeros."""
+def _in_four(a: np.ndarray, rows: slice, axes: tuple) -> np.ndarray:
+    """a's rows, the span ``rows`` from :func:`_packed`, on its negative ``axes`` in all four, other rows zeros."""
     out = np.zeros_like(a, shape=[NVARS if k - a.ndim in axes else n for k, n in enumerate(a.shape)])
-    out[(..., *np.ix_(*[np.arange(NVARS)[rows]] * len(axes))) + (slice(None),) * (-1 - axes[-1])] = a
+    out[(..., *[rows] * len(axes)) + (slice(None),) * (-1 - axes[-1])] = a
     return out
 
 

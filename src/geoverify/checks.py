@@ -4,12 +4,12 @@ Each registered check gets its sampled points as one (N, 4) batch and
 returns its claims: per-point residuals with the points they were
 measured at.  A ``zero`` claim needs every residual below the threshold;
 an ``exceeds`` claim (an inequality) needs its best witness to beat a
-margin.  :func:`_reduce` turns the claims into ``max_residual`` and the
-sampled witness point: a failed inequality contributes 1.0 at its best
-witness, and any non-finite residual decides the report (the first one,
-claims in order, points in sampling order), so that the check fails.  A
-check passes when every inequality holds and its ``max_residual`` is
-below the threshold.
+margin.  :func:`_reduce` turns the claims, in one pass, into
+``max_residual``, the sampled witness point and whether every inequality
+held: a failed inequality contributes 1.0 at its best witness, and any
+non-finite residual decides the report (the first one, claims in order,
+points in sampling order), so that the check fails.  A check passes when
+every inequality holds and its ``max_residual`` is below the threshold.
 
 Sampling is counter-based: each (seed, stream name) pair keys one Philox
 stream, and row ``i`` of a check's points, or of any other per-point
@@ -142,14 +142,14 @@ def _exceeds(residuals, points, margin: float = 1e-3) -> _Claim:
     return _Claim(residuals, points, margin)
 
 
-def _reduce(claims: Sequence[_Claim]) -> tuple[float, object]:
-    """The report's ``max_residual`` and the sampled point that attained it."""
-    worst, witness = 0.0, claims[0].points[0]
+def _reduce(claims: Sequence[_Claim]) -> tuple[float, object, bool]:
+    """The report's ``max_residual``, the sampled point that attained it, and whether every inequality held."""
+    worst, witness, held = 0.0, claims[0].points[0], True
     for c in claims:
         r = np.asarray(c.residuals, dtype=float)
         bad = np.flatnonzero(~np.isfinite(r))
         if bad.size:  # a non-finite residual decides the report
-            return float(r[bad[0]]), c.points[bad[0]]
+            return float(r[bad[0]]), c.points[bad[0]], False
         if c.margin is None:
             i = len(r) - 1 - int(np.argmax(r[::-1]))  # the last maximum
             value = float(r[i])
@@ -157,10 +157,10 @@ def _reduce(claims: Sequence[_Claim]) -> tuple[float, object]:
             i = int(np.argmax(r))
             if r[i] > c.margin:
                 continue
-            value = 1.0
+            value, held = 1.0, False  # 1.0 alone would pass under a tolerance above 1
         if value >= worst:  # ties go to the later contribution
             worst, witness = value, c.points[i]
-    return worst, witness
+    return worst, witness, held
 
 
 def _chunked(P: np.ndarray, block: Callable) -> list[_Claim]:
@@ -382,9 +382,7 @@ def run_suite(name: str, cfg: RunConfig) -> CheckReport:
         sampled, claims = _REGISTRY[name](cfg, P)
     except DomainError as exc:  # one point left the domain, which stops its whole batch: fail there
         sampled, claims = len(P), [_zero([math.nan], [P[exc.index]])]
-    worst, witness = _reduce(claims)
-    # a failed inequality reports 1.0, which a tolerance above 1 would let pass
-    held = all(np.max(c.residuals) > c.margin for c in claims if c.margin is not None)
+    worst, witness, held = _reduce(claims)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return CheckReport(
         check_name=name,

@@ -11,18 +11,20 @@ inputs, which is what makes comparing them against the published integer
 tables a meaningful check.
 
 Contractions over a derivative index run over the live coordinates only:
-the variables the frame and coframe jets carry, packed over the union of
-their entries' variables (s and t on a batch of F4; all four at a single
-point, whose jets are dense).  The rows left out are never formed, and are
-exact zeros in the dense layout, so every result is the full contraction's
-bit for bit.  Only a point's dense jets have x and y rows, which hold NaN or
-inf (0*inf) where t under- or overflows, and they are contracted with the rest.
+the variables the frame and coframe jets carry, one slice packed over the
+span of their entries' variables, first to last (s and t on a batch of F4;
+all four at a single point, whose jets are dense).  The rows left out are
+never formed, and are exact zeros in the dense layout, so every result is
+the full contraction's bit for bit.  Only a point's dense jets have x and y
+rows, which hold NaN or inf (0*inf) where t under- or overflows, and they
+are contracted with the rest.
 
-The connection's derivatives dfc = d_m fc_ijk are formed only for Ricci,
-the curvature table and a single point's M.  A batch's M reads dfc through
-one trace, sum_i e_i(fc_ikj), and Koszul's formula is linear, so that trace
-is taken first, from the jets: (P_kj - P_jk - Q_kj) / 2 with the 4x4 traces
-P_kj = sum_i e_i(c_ikj) and Q_kj = sum_i e_i(c_kji) (see Geometry).
+The connection's derivatives dfc = d_m fc_ijk are read by Ricci, the
+curvature table and a point's S_kj = sum_i e_i(fc_ikj), M's one
+connection-derivative term.  A batch takes S without dfc: Koszul's formula
+is linear, so S = (P_kj - P_jk - Q_kj) / 2 from the jets, with the 4x4
+traces P_kj = sum_i e_i(c_ikj) and Q_kj = sum_i e_i(c_kji), and Q needs no
+frame-coframe product, since sum_i th_i(d_b) e_i = d_b (see Geometry).
 
 Sign conventions:
 
@@ -55,8 +57,8 @@ class Geometry:
     """Pointwise frame arrays for one chart point or a batch (all indices 0-based), built in the live coordinates.
 
     Batch axes come first, then derivative indices, then the entry.  The build forms E and fc from views of the frame
-    and coframe jets packed over the live coordinates (s and t on a batch, all four at a point), the rest on first read
-    (and kept).  dfc is formed by ric, Rfr and a point's M alone: a batch's M takes its trace from P and Q, so of the
+    and coframe jets packed over the live coordinates, one slice (s and t on a batch, all four at a point), the rest on
+    first read (and kept).  dfc is read by ric, Rfr and a point's S alone: a batch's S comes from P and Q, so of the
     checks only ``lemma2``, ``theorem1``, ``coercivity``, ``riemc`` and the witnesses' tension form it.
 
         E[..., i,a]            frame e_{i+1} components against d/dx_a
@@ -70,14 +72,15 @@ class Geometry:
         G[..., a,b]            sum_i E_ia E_ib, the inverse metric
         v[..., b]              sum_i e_i(E_ib) - tau_m E_mb
         C[..., a,k,j]          2 sum_i E_ia fc_ikj
-        M[..., k,j]            (Lap e_k)_j = sum_i [e_i(fc_ikj) + fc_ikm fc_imj] - tau_m fc_mkj, where on a batch
-                               sum_i e_i(fc_ikj) = (P_kj - P_jk - Q_kj) / 2 from B_ijb = [e_i, e_j]^b and W_mb =
-                               sum_i E_im T_ib (m, a over the live coordinates):
+        M[..., k,j]            (Lap e_k)_j = S_kj + sum_i fc_ikm fc_imj - tau_m fc_mkj, S_kj = sum_i e_i(fc_ikj): at
+                               a point the trace of dfc, on a batch (P_kj - P_jk - Q_kj) / 2 from B_ijb = [e_i, e_j]^b
+                               (m, a and a derivative's b over the live coordinates):
             U_kb = sum_i e_i(B_ikb) = eE_a d_a E_kb + G_ma d_m d_a E_kb - d_m E_ka sum_i E_im d_a E_ib
                                       - E_ka sum_i e_i(d_a E_ib)
             P_kj = sum_i e_i(c_ikj) = U_kb T_jb + B_ikb e_i(T_jb)
-            Y_kj = sum_i T_ib e_i(D_kjb) = d_m E_ka W_mb d_a E_jb + E_ka W_mb d_m d_a E_jb,  D_ijb = e_i(E_jb)
+            Y_kj = sum_i T_ib e_i(D_kjb) = sum_b d_b D_kjb = d_b E_ka d_a E_jb + E_ka d_b d_a E_jb,  D_ijb = e_i(E_jb)
             Q_kj = sum_i e_i(c_kji) = Y_kj - Y_jk + B_kjb sum_i e_i(T_ib)
+        (sum_i T_ib e_i = d_b: the chart's coframe is exactly the frame's inverse, as test_chart and lemma1 certify)
 
     A build of up to 1024 rows frees a few MB.  glibc's dynamic trim threshold handed about 4.7 MB of it back to the OS
     per block, and the next block faulted it in again (1100 of the 1195 minor faults of a warm 300-point ``corollary``
@@ -90,7 +93,7 @@ class Geometry:
     _tau: np.ndarray
     _c: np.ndarray  # c[..., i,j,k] = th_k([e_i, e_j])
     _eE: np.ndarray  # eE[..., b] = sum_i e_i(E_ib)
-    _live: slice | np.ndarray  # the live coordinates: a slice when they are consecutive, else an index array
+    _live: slice  # the live coordinates: the span of the variables the frame and coframe jets read
     _stage2: tuple[np.ndarray, np.ndarray, np.ndarray]  # d_m E, d_m d_n E (live m, n); B = [e_i, e_j]^b
 
     @cached_property
@@ -121,38 +124,29 @@ class Geometry:
         return 2 * np.einsum("...ia,...ikj->...akj", self.E, self.fc)
 
     @cached_property
-    def _P(self) -> np.ndarray:
-        """P[..., k,j] = sum_i e_i(c_ikj) on a batch, by way of U_kb = sum_i e_i(B_ikb) (see the class docstring)."""
+    def _S(self) -> np.ndarray:
+        """S[..., k,j] = sum_i e_i(fc_ikj): at a point from dfc, on a batch from P and Q (see the class docstring)."""
         (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self._coframe
-        # G's live block (in two steps: G[..., live, live] of an index array is a diagonal), not sum_i E_im E_ia
-        # inside the sum: cheaper, and non-finite only where G overflows (t past about 1e154), which M's readers read
-        EL, G = self.E[..., live], self.G[..., live, :][..., :, live]
+        EL = self.E[..., live]
+        if self.E.ndim == 2:  # a point: one einsum over the dfc that its Ricci and curvature table read too
+            return np.einsum("...ia,...aikj->...kj", EL, self._dfc)
+        # G's live block, not sum_i E_im E_ia inside the sum: cheaper, and non-finite only where G overflows (t past
+        # about 1e154), which M's readers read
+        dL, G = dEL[..., live], self.G[..., live, live]
         H = np.einsum("...im,...aib->...mab", EL, dEL)  # sum_i E_im d_a E_ib
         Z = np.einsum("...im,...maib->...ab", EL, d2EL)  # sum_i e_i(d_a E_ib)
         U = np.einsum("...a,...akb->...kb", self._eE[..., live], dEL) + np.einsum("...ma,...makb->...kb", G, d2EL)
-        U -= np.einsum("...mka,...mab->...kb", dEL[..., live], H) + np.einsum("...ka,...ab->...kb", EL, Z)
+        U -= np.einsum("...mka,...mab->...kb", dL, H) + np.einsum("...ka,...ab->...kb", EL, Z)
         BE = np.einsum("...ikb,...im->...mkb", B, EL)  # sum_i B_ikb e_i = sum_m BE_mkb d_m
-        return np.einsum("...kb,...jb->...kj", U, T) + np.einsum("...mkb,...mjb->...kj", BE, dT)
-
-    @cached_property
-    def _Q(self) -> np.ndarray:
-        """Q[..., k,j] = sum_i e_i(c_kji) on a batch, by way of Y_kj = sum T_ib e_i(D_kjb) (see the class docstring)."""
-        (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self._coframe
-        EL = self.E[..., live]
-        W = np.einsum("...im,...ib->...mb", EL, T)  # sum_i T_ib e_i = sum_m W_mb d_m
-        Y = np.einsum("...mka,...maj->...kj", dEL[..., live], np.einsum("...mb,...ajb->...maj", W, dEL))
-        Y += np.einsum("...ka,...aj->...kj", EL, np.einsum("...mb,...majb->...aj", W, d2EL))
+        P = np.einsum("...kb,...jb->...kj", U, T) + np.einsum("...mkb,...mjb->...kj", BE, dT)
+        Y = np.einsum("...bka,...ajb->...kj", dL, dL) + np.einsum("...ka,...bajb->...kj", EL, d2EL[..., live])
         div = np.einsum("...im,...mib->...b", EL, dT)  # sum_i e_i(T_ib)
-        return Y - np.swapaxes(Y, -1, -2) + np.einsum("...kjb,...b->...kj", B, div)
+        Q = Y - np.swapaxes(Y, -1, -2) + np.einsum("...kjb,...b->...kj", B, div)
+        return 0.5 * (P - np.swapaxes(P, -1, -2) - Q)
 
     @cached_property
     def M(self) -> np.ndarray:
-        if self.E.ndim == 2:  # a point: one einsum over its dfc costs less than the sixteen small calls of the traces
-            M = np.einsum("...ia,...aikj->...kj", self.E[..., self._live], self._dfc)
-        else:  # sum_i e_i(fc_ikj) by Koszul's formula, which is linear: (P_kj - P_jk - Q_kj) / 2
-            P = self._P
-            M = 0.5 * (P - np.swapaxes(P, -1, -2) - self._Q)
-        M += np.einsum("...ikm,...imj->...kj", self.fc, self.fc)
+        M = self._S + np.einsum("...ikm,...imj->...kj", self.fc, self.fc)
         M -= np.einsum("...m,...mkj->...kj", self._tau, self.fc)
         return M
 

@@ -21,10 +21,11 @@ with one set of coefficients per geometry, so its frame components need
 first derivatives only.  The coefficients keep the direction l in front:
 a stack of single-direction fields f_m d_{l_m} (the corollary families,
 the witnesses) evaluates its profiles f_m as one closed form, each power of
-t once, packed over the variables they read, and takes each member on its
-direction's columns and those rows.  Only exact zeros drop out.  The
-component-system and expanded quadratic forms (:func:`harmonic_section_equations`,
-:func:`horizontal_tension_expanded`) re-derive the same quantities from plain s/t partial derivatives, on
+t once, packed over the span of the variables they read, and takes each
+member on its direction's columns and those rows.  Only exact zeros drop
+out.  The component-system and expanded quadratic forms
+(:func:`harmonic_section_equations`, :func:`horizontal_tension_expanded`)
+re-derive the same quantities from plain s/t partial derivatives, on
 frame components converted to second order, and exist purely as
 independent cross-checks; the section system carries weights
 (1, 1, 1/2, 1/2) relative to the intrinsic Laplacian.
@@ -136,10 +137,10 @@ def _coordinate_basis(geo, rows=slice(None)):
     derivative rows a in ``rows`` (all four by default), so that d_a X_l K[l, a, j] = g(nabla_{grad X_l} d_l, e_j); and
     L[l, ..., j] = g(Lap d_l, e_j) by the frame route of :func:`_rough_laplacian`, over the coframe jets' live rows and
     the matching blocks of G, v and C."""
-    live, G, (T, dTL, d2TL) = geo._live, geo.G[..., :, geo._live], (np.einsum("...l->l...", a) for a in geo._coframe)
-    C = geo.C[..., rows, :, :]
-    K2 = np.einsum("...ab,l...bj->l...aj", 2 * G[..., rows, :], dTL) + np.einsum("...akj,l...k->l...aj", C, T)
-    op = _Operator(G[..., live, :], geo.v[..., live], geo.C[..., live, :, :], geo.M)  # not G[..., live, live]
+    live, (T, dTL, d2TL) = geo._live, (np.einsum("...l->l...", a) for a in geo._coframe)
+    G, C = geo.G[..., rows, live], geo.C[..., rows, :, :]
+    K2 = np.einsum("...ab,l...bj->l...aj", 2 * G, dTL) + np.einsum("...akj,l...k->l...aj", C, T)
+    op = _Operator(geo.G[..., live, live], geo.v[..., live], geo.C[..., live, :, :], geo.M)
     return T, K2, _rough_laplacian(op, T, dTL, d2TL)
 
 
@@ -157,12 +158,12 @@ def _field_data(X: AnalyticVectorField, p):
 
 def _stack(geo, form, dirs, p):
     """The fields f_m d_{l_m}, f_m entry m of a :func:`_form` and l_m = dirs[m], from one evaluation packed over the
-    variables its entries read: their rough Laplacians [m, ..., j], over those rows with the matching blocks of G, v and
-    2 K; the profiles' first-order jets (f, df)[m, ..., 1], df over those rows alone; and the rows (see _packed)."""
+    span of the variables its entries read: their rough Laplacians [m, ..., j], over those rows with the matching
+    blocks of G, v and 2 K; the profiles' jets (f, df)[m, ..., 1] to first order, df on those rows; and the rows."""
     jets, rows = _packed(form, p)
     f, df, d2f = (np.moveaxis(a, -2, 0) for a in jets)  # the member axis in front
     T, K2, L = (A[list(dirs)] for A in _coordinate_basis(geo, rows))
-    op = _Operator(geo.G[..., rows, :][..., :, rows], geo.v[..., rows], None, None)
+    op = _Operator(geo.G[..., rows, rows], geo.v[..., rows], None, None)
     return _rough_laplacian(op, f, df, d2f, (T[..., None], K2[..., None, :], L[..., None, :])), (f, df), rows
 
 

@@ -143,8 +143,9 @@ def test_a_finite_longdouble_beyond_float64s_range_is_in_the_domain():
 
 @pytest.mark.parametrize("batch", [(), (1,), (7,), (300,), (3, 5)])
 def test_packed_jets_are_the_dense_jets_on_their_variables(batch):
-    # a closed form packed over the variables its entries read is the dense layout's rows for them, bit for bit; the
-    # dense layout holds exact zeros in the others.  A point's and a first-order batch's jets are dense: all four
+    # a closed form packed over the span of the variables its entries read, first to last, is the dense layout's rows
+    # for them, bit for bit; the dense layout holds exact zeros in the rows of the variables no entry reads, in the
+    # span or not.  A point's and a first-order batch's jets are dense: all four
     rng = np.random.default_rng(57)
     P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
     soliton = soliton_field(SolitonParams(*rng.uniform(-3.0, 3.0, (5,) + batch)))
@@ -153,14 +154,15 @@ def test_packed_jets_are_the_dense_jets_on_their_variables(batch):
         (chart._metric, (2, 3)),
         (harmonic._form(single_direction_stack(rng, batch)[0]), (2, 3)),
         (lambda *q: tuple(f(*q) for f in soliton.components), (0, 1, 2, 3)),
+        (lambda x, y, s, t: ((x * t, t * t), (x, 1.0)), (0, 3)),  # x and t: the span holds y and s too
     ]
     m = len(batch)  # the first derivative axis
-    for f, V in forms:
+    for f, read in forms:
         for order in (1, 2):
             packed, rows = chart._packed(f, P, order)
-            dense, got = chart._jets(f, P, order), list(np.arange(4)[rows])
-            assert got == list(V if batch and order == 2 else (0, 1, 2, 3))
-            other = [k for k in range(4) if k not in got]
+            dense, got = chart._jets(f, P, order), list(range(4)[rows])
+            assert rows == (slice(read[0], read[-1] + 1) if batch and order == 2 else slice(0, 4))
+            other = [k for k in range(4) if k not in read]
             assert np.array_equal(packed[0], dense[0])
             assert np.array_equal(packed[1], np.take(dense[1], got, axis=m))
             assert not np.any(np.take(dense[1], other, axis=m))

@@ -238,27 +238,27 @@ def _claim_points(n, t=1.0):
 
 def test_reduce_ties_go_to_the_later_contribution():
     pts = _claim_points(4)
-    worst, witness = _reduce([_zero([0.0, 3.0, 1.0, 3.0], pts)])
-    assert (worst, witness) == (3.0, pts[3])
+    assert _reduce([_zero([0.0, 3.0, 1.0, 3.0], pts)]) == (3.0, pts[3], True)
     # across claims too: an equal value in a later claim takes the witness
     later = _claim_points(2, t=2.0)
-    assert _reduce([_zero([0.0, 3.0, 1.0, 3.0], pts), _zero([3.0, 2.0], later)]) == (3.0, later[0])
-    assert _reduce([_zero([0.0, 0.0], pts[:2])]) == (0.0, pts[1])
+    assert _reduce([_zero([0.0, 3.0, 1.0, 3.0], pts), _zero([3.0, 2.0], later)]) == (3.0, later[0], True)
+    assert _reduce([_zero([0.0, 0.0], pts[:2])]) == (0.0, pts[1], True)
 
 
 def test_reduce_failed_inequality_reports_one_at_its_argmax():
     pts = _claim_points(4)
-    # best witness 5e-4 does not beat the 1e-3 margin: 1.0 at the first argmax
-    assert _reduce([_zero([1e-12] * 4, pts), _exceeds([1e-4, 5e-4, 2e-4, 5e-4], pts)]) == (1.0, pts[1])
+    # best witness 5e-4 does not beat the 1e-3 margin: 1.0 at the first argmax, and the inequality did not hold
+    assert _reduce([_zero([1e-12] * 4, pts), _exceeds([1e-4, 5e-4, 2e-4, 5e-4], pts)]) == (1.0, pts[1], False)
     # a passed inequality contributes nothing
-    assert _reduce([_zero([0.0, 2e-12, 1e-12, 0.0], pts), _exceeds([1e-4, 2.0, 0.0, 0.0], pts)]) == (2e-12, pts[1])
+    claims = [_zero([0.0, 2e-12, 1e-12, 0.0], pts), _exceeds([1e-4, 2.0, 0.0, 0.0], pts)]
+    assert _reduce(claims) == (2e-12, pts[1], True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_reduce_non_finite_in_zero_claim_fails_at_first_offending_point(bad):
     pts = _claim_points(5)
-    worst, witness = _reduce([_exceeds([1.0] * 5, pts), _zero([1e-12, 7.0, bad, 0.0, bad], pts)])
-    assert witness == pts[2]
+    worst, witness, held = _reduce([_exceeds([1.0] * 5, pts), _zero([1e-12, 7.0, bad, 0.0, bad], pts)])
+    assert witness == pts[2] and not held
     assert np.array_equal(worst, bad, equal_nan=True)
 
 
@@ -266,8 +266,8 @@ def test_reduce_non_finite_in_zero_claim_fails_at_first_offending_point(bad):
 def test_reduce_non_finite_in_exceeds_claim_fails_at_first_offending_point(bad):
     pts = _claim_points(4)
     # the finite values alone would pass the inequality
-    worst, witness = _reduce([_zero([0.0] * 4, pts), _exceeds([1.0, bad, 2.0, bad], pts)])
-    assert witness == pts[1]
+    worst, witness, held = _reduce([_zero([0.0] * 4, pts), _exceeds([1.0, bad, 2.0, bad], pts)])
+    assert witness == pts[1] and not held
     assert np.array_equal(worst, bad, equal_nan=True)
 
 

@@ -81,9 +81,9 @@ def test_rotated_frame_is_orthonormal_with_varying_connection(rotated):
     assert np.array_equal(curvature.geometry_at(P).E, E)
     fc = curvature.frame_connection(P)
     assert np.max(np.ptp(fc, axis=0)) > 1.0  # the connection varies over the points
-    # R depends on x, s and t, so the build contracts those derivative rows, which are not consecutive
+    # R depends on x, s and t, so the build contracts the derivative rows from x to t, y's exact zeros among them
     geo = curvature.geometry_at(P)
-    assert list(np.arange(4)[geo._live]) == [0, 2, 3]
+    assert geo._live == slice(0, 4)
     assert np.max(np.abs(geo._dfc)) > 1.0  # dfc, which the curvature and M read
 
 
@@ -136,11 +136,11 @@ def test_live_direction_build_matches_the_four_row_contraction(rotated):
         assert np.max(np.abs(getattr(geo, name) - ref[name])) < 1e-13, name
 
 
-@pytest.mark.parametrize("trace", ["_P", "_Q"])
+@pytest.mark.parametrize("trace", ["_S"])
 def test_each_koszul_trace_of_a_batchs_m_is_needed_where_the_connection_varies(trace, monkeypatch):
-    # a batch's M takes sum_i e_i(fc_ikj) = (P_kj - P_jk - Q_kj) / 2 from the traces P and Q, which vanish on F4's own
-    # frame.  Q_kj = -d(tau)(e_k, e_j) for tau = tau_m th_m, and a rotation whose angles are constant along their own
-    # planes, as the fixture's are, leaves tau as it is: there Q vanishes too, so this frame twists both planes
+    # a batch's M takes S_kj = sum_i e_i(fc_ikj) = (P_kj - P_jk - Q_kj) / 2 from the traces P and Q, which vanish on
+    # F4's own frame.  Q_kj = -d(tau)(e_k, e_j) for tau = tau_m th_m, and a rotation whose angles are constant along
+    # their own planes, as the fixture's are, leaves tau as it is: there Q vanishes, so this frame twists both planes
     P = np.random.default_rng(806).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (N, 4))
     monkeypatch.setattr(chart, "_frames", _rotated(chart._frames, _twisted))
     ref, geo, mutant = four_row_geometry(P)["M"], curvature.geometry_at(P), curvature.geometry_at(P)
@@ -157,7 +157,7 @@ def test_product_rule_laplacian_matches_the_frame_hessian_route(rotated):
 
 
 def test_live_row_coordinate_basis_equals_the_four_row_contraction(rotated):
-    # the live rows are the index array [0, 2, 3] here, whose block of G is not G[..., live, live], the diagonal
+    # the live rows here are the span from x to t, all four, and y's rows are exact zeros contracted with the rest
     P, _ = rotated
     geo = curvature.geometry_at(P)
     for got, ref in zip(harmonic._coordinate_basis(geo), four_row_coordinate_basis(geo, P), strict=True):

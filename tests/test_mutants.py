@@ -12,6 +12,7 @@ must keep passing every check: the day one dies, it moves to the killed.
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from geoverify import chart, curvature, harmonic, soliton
@@ -68,19 +69,23 @@ def _rebased(base: SolitonParams):
     return mutate
 
 
-def _geometry_scaled(name: str, factor: float):
-    """Wrap the geometry build so that its ``name`` array reads ``factor`` times the true one.  Checks build batches,
-    which the single-point geometry cache never holds, so no cached geometry escapes the mutant."""
+def _geometry_mapped(name: str, f):
+    """Wrap the geometry build so that its ``name`` array reads f of the true one.  Checks build batches, which the
+    single-point geometry cache never holds, so no cached geometry escapes the mutant."""
 
     def mutate(build):
         def mutant(p):
             geo = build(p)
-            vars(geo)[name] = getattr(geo, name) * factor  # where a cached_property keeps what it formed
+            vars(geo)[name] = f(getattr(geo, name))  # where a cached_property keeps what it formed
             return geo
 
         return mutant
 
     return mutate
+
+
+def _geometry_scaled(name: str, factor: float):
+    return _geometry_mapped(name, lambda a: a * factor)
 
 
 def _tension_scaled(factor: float):
@@ -148,13 +153,20 @@ MUTANTS = {
 
 # name: (owner module, attribute, mutation, why no check kills it yet)
 SURVIVORS = {
-    # dfc multiplies e_i(fc) in Rfr, ric and a point's M, and fc is constant in F4's left-invariant frame
+    # dfc multiplies e_i(fc) in Rfr, ric and a point's S, and fc is constant in F4's left-invariant frame
     "dfc := 0": (curvature, "_build", _geometry_scaled("_dfc", 0.0), "dfc = 0 on F4's own frame"),
     "dfc x 1.001": (curvature, "_build", _geometry_scaled("_dfc", 1.001), "dfc = 0 on F4's own frame"),
-    # a batch's M takes sum_i e_i(fc_ikj) from the traces P and Q of the structure functions' derivatives instead
-    "P := 0": (curvature, "_build", _geometry_scaled("_P", 0.0), "P = 0 on F4's own frame, as dfc is"),
-    "Q := 0": (curvature, "_build", _geometry_scaled("_Q", 0.0), "Q = 0 on F4's own frame, as dfc is"),
-    # an equivalent mutant: v = -g^ab Gamma^c_ab, a coordinate vector that no choice of frame changes
+    # M's e_i(fc) trace term dropped: a batch's S = sum_i e_i(fc_ikj) comes from the traces P and Q of the structure
+    # functions' derivatives, not from dfc; tests/test_gauge.py kills it on a twisted frame
+    "S := 0": (curvature, "_build", _geometry_scaled("_S", 0.0), "S = 0 on F4's own frame, as dfc is"),
+    # equivalent mutants: R_ijkl = R_klij, a true symmetry; v = -g^ab Gamma^c_ab, a coordinate vector that no choice of
+    # frame changes
+    "Rfr pair exchange": (
+        curvature,
+        "_build",
+        _geometry_mapped("Rfr", lambda R: np.einsum("...ijkl->...klij", R)),
+        "Rfr_ijkl = Rfr_klij in every frame",
+    ),
     "v := 0": (curvature, "_build", _geometry_scaled("v", 0.0), "v vanishes on F4 in every frame"),
 }
 
