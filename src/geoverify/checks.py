@@ -15,7 +15,11 @@ Sampling is counter-based: each (seed, stream name) pair keys one Philox
 stream, and row ``i`` of a check's points, or of any other per-point
 draw, is row ``i`` of one draw from its stream.  It depends on (seed,
 stream, i) alone, so reports are reproducible and neither more points
-nor another check perturb it.  Each stream is drawn once for all N rows;
+nor another check perturb it.  As the key names the stream and the
+counter its position, each thread keeps one Philox and re-keys it for
+every stream, with a zero counter and an empty buffer: building one per
+stream would first seed it from OS entropy only to overwrite that.  Each
+stream is drawn once for all N rows;
 the geometry-heavy part of a check then runs over blocks of ``_CHUNK``
 rows, building the geometry once per block and each field once over it,
 and each claim's residuals are joined across blocks in sampling order.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 import zlib
 from dataclasses import astuple, dataclass, field
@@ -46,6 +51,7 @@ __all__ = ["ConfigError", "UnknownCheck", "Box", "RunConfig", "CheckReport", "CH
 
 _CHUNK = 1024  # rows evaluated together: bounds a check's memory, never changes its report
 _FAMILY_MARGIN = 1e-6  # nongradient: the closest member's grid defect, relative to the base member's
+_PHILOX = threading.local()  # the thread's one bit generator, made on first use
 
 
 class ConfigError(Exception):
@@ -147,9 +153,10 @@ def _reduce(claims: Sequence[_Claim]) -> tuple[float, object, bool]:
     worst, witness, held = 0.0, claims[0].points[0], True
     for c in claims:
         r = np.asarray(c.residuals, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(r))
-        if bad.size:  # a non-finite residual decides the report
-            return float(r[bad[0]]), c.points[bad[0]], False
+        finite = np.isfinite(r)
+        if not finite.all():  # the first non-finite residual decides the report
+            bad = int(np.argmin(finite))
+            return float(r[bad]), c.points[bad], False
         if c.margin is None:
             i = len(r) - 1 - int(np.argmax(r[::-1]))  # the last maximum
             value = float(r[i])
@@ -179,12 +186,25 @@ def _chunked(P: np.ndarray, block: Callable) -> list[_Claim]:
         own = all(c.points is Q for c, Q in zip(claim, blocks))
         return P if own else np.concatenate([c.points for c in claim])
 
+    if len(parts) == 1:  # one block: its claims as they are, with nothing to join
+        return [c._replace(points=P) if c.points is blocks[0] else c for c in parts[0]]
     return [_Claim(np.concatenate([c.residuals for c in claim]), points(claim), claim[0].margin) for claim in zip(*parts)]
 
 
 def _stream(cfg: RunConfig, name: str) -> np.random.Generator:
-    """The counter-based stream of ``name`` at the run's seed."""
-    return np.random.Generator(np.random.Philox(key=[cfg.seed, zlib.crc32(name.encode())]))
+    """The counter-based stream of ``name`` at the run's seed, valid until the thread's next ``_stream`` call.
+
+    The thread's one Philox is re-keyed to (seed, crc32(name)), with the counter at zero, its buffer empty and no
+    32-bit half kept: bit for bit a new ``Philox(key=...)``, without the OS-entropy seeding that the key would then
+    overwrite.  Re-keying is safe because each caller draws everything it needs from the stream at once.
+    """
+    bits = getattr(_PHILOX, "bits", None)
+    if bits is None:
+        bits = _PHILOX.bits = np.random.Philox(0)
+    zero, key = (0, 0, 0, 0), (cfg.seed, zlib.crc32(name.encode()))
+    state = {"counter": zero, "key": key}
+    bits.state = dict(bit_generator="Philox", state=state, buffer=zero, buffer_pos=4, has_uint32=0, uinteger=0)
+    return np.random.Generator(bits)
 
 
 def _sample_points(cfg: RunConfig, name: str) -> np.ndarray:

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -362,8 +365,72 @@ def test_counter_based_sampling_is_stable_per_point():
     assert not np.any(_sample_points(cfg3, "lemma1") == _sample_points(RunConfig(seed=6, points=3), "lemma1"))
 
 
+# every stream the ten checks draw, as (name, low, high, per-point shape); a check's points span the box
+STREAMS = [(name, None, None, (4,)) for name in CHECK_NAMES] + [
+    ("theorem1/params", -3.0, 3.0, (5,)),
+    ("harmonic-components/params", -3.0, 3.0, (5,)),
+    ("theorem3/fields", -1.0, 1.0, (4, 6)),
+    *((f"corollary/c{k}", -3.0, 3.0, (2,)) for k in (1, 2, 3, 4)),
+    ("harmonic-map-witnesses/const", -2.0, 2.0, (4,)),
+    ("coercivity/vectors", -3.0, 3.0, (10, 4)),
+]
+
+
+def _fresh_stream(seed: int, name: str) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[seed, zlib.crc32(name.encode())]))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_every_stream_is_that_of_a_freshly_keyed_philox(monkeypatch):
+    drawn, stream = [], checks._stream
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_stream", lambda cfg, name: drawn.append(name) or stream(cfg, name))
+        run_all(FAST)
+    assert sorted(drawn) == sorted(name for name, *_ in STREAMS)
+    for seed in (0, 7, 2**31, 2**32 - 1):
+        cfg = RunConfig(seed=seed, points=3)  # most draws here leave part of a Philox block buffered
+        for name, low, high, size in STREAMS:
+            fresh = _fresh_stream(seed, name)
+            if low is None:
+                assert _same_bits(_sample_points(cfg, name), fresh.uniform(cfg.box.lows(), cfg.box.highs(), (3, 4)))
+            else:
+                assert _same_bits(_uniform(cfg, name, low, high, size), fresh.uniform(low, high, (3, *size)))
+    # a 32-bit draw keeps the other half of its 64-bit word, which no later stream may start from
+    cfg, word = RunConfig(seed=7, points=3), lambda rng: rng.integers(0, 2**32 - 1, 5, dtype=np.uint32)
+    checks._stream(cfg, "another").integers(0, 2**32 - 1, dtype=np.uint32)
+    fresh = _fresh_stream(7, "lemma1").uniform(cfg.box.lows(), cfg.box.highs(), (3, 4))
+    assert _same_bits(_sample_points(cfg, "lemma1"), fresh)
+    assert _same_bits(word(checks._stream(cfg, "lemma1")), word(_fresh_stream(7, "lemma1")))
+
+
 def _reports_without_timing(cfg: RunConfig) -> list[str]:
     return [dataclasses.replace(rep, elapsed_ms=0.0).to_json() for rep in run_all(cfg)]
+
+
+def test_reports_depend_neither_on_threads_nor_on_the_check_order():
+    # each thread re-keys its own Philox: four threads switching as often as the interpreter allows, at mixed seeds,
+    # must draw what one thread draws, in the checks and in a bare stream drawn many times over
+    seeds = (0, 7, 2**31, 2**32 - 1)
+    jobs = [(name, RunConfig(seed=seed, points=20)) for seed in seeds for name in CHECK_NAMES]
+    draws = [(RunConfig(seed=seed, points=3), name) for seed in seeds for name, *_ in STREAMS] * 10
+    strip = lambda rep: dataclasses.replace(rep, elapsed_ms=0.0).to_json()
+    bits = lambda cfg, name: _sample_points(cfg, name).tobytes()
+    serial = [strip(run_suite(*job)) for job in jobs], [bits(*draw) for draw in draws]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run_suite, *job) for job in jobs], [pool.submit(bits, *draw) for draw in draws]
+            threaded = [strip(f.result(timeout=120)) for f in futures[0]], [f.result(timeout=120) for f in futures[1]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    cfg = RunConfig(seed=7, points=20)
+    one_by_one = [strip(run_suite(name, cfg)) for name in reversed(CHECK_NAMES)]
+    assert _reports_without_timing(cfg) == one_by_one[::-1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -406,16 +473,17 @@ def test_peak_memory_is_bounded_by_the_chunk():
 
 
 def test_claims_at_every_blocks_own_rows_share_the_checks_points(monkeypatch):
-    monkeypatch.setattr(checks, "_CHUNK", 7)
     cfg = RunConfig(points=20)
     P = _sample_points(cfg, "corollary")
-    _, claims = checks._check_corollary(cfg, P)
-    assert len(claims) == 8
-    assert all(c.points is P for c in claims)  # one points array, not a copy per claim
-    # a claim at only some of a block's rows is still joined in row order
-    _, claims = checks._check_harmonic_map_witnesses(cfg, P)
-    np.testing.assert_array_equal(claims[0].points, P[:10])
-    assert all(c.points is P for c in claims[1:])
+    for chunk in (7, checks._CHUNK):  # three blocks, then one block whose claims are kept as they are
+        monkeypatch.setattr(checks, "_CHUNK", chunk)
+        _, claims = checks._check_corollary(cfg, P)
+        assert len(claims) == 8
+        assert all(c.points is P for c in claims)  # one points array, not a copy per claim
+        # a claim at only some of a block's rows is still joined in row order
+        _, claims = checks._check_harmonic_map_witnesses(cfg, P)
+        np.testing.assert_array_equal(claims[0].points, P[:10])
+        assert all(c.points is P for c in claims[1:])
 
 
 def test_only_the_curvature_claims_build_the_curvature_tensor(monkeypatch):

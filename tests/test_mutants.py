@@ -112,6 +112,7 @@ MUTANTS = {
     "coframe th3 x (1 + 1e-6)": (chart, "_frames", _entry_scaled(2, 2, 1.0 + 1e-6, table=1), ["lemma1", "theorem1"]),
     "soliton lambda + 1e-6": (soliton, "SOLITON_LAMBDA", lambda lam: lam + 1e-6, ["theorem1", "coercivity"]),
     "EXPONENT_PLUS + 1e-7": (harmonic, "EXPONENT_PLUS", lambda a: a + 1e-7, ["corollary"]),
+    "EXPONENT_MINUS + 1e-7": (harmonic, "EXPONENT_MINUS", lambda a: a + 1e-7, ["corollary"]),
     "horizontal tension x 1.0001": (harmonic, "_horizontal_tension", _scaled(1.0001), ["harmonic-map-witnesses"]),
     "rough Laplacian x 1.5": (harmonic, "_rough_laplacian", _scaled(1.5), ["theorem3", "corollary"]),
     "scalar Laplacian x 3": (
