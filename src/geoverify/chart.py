@@ -28,13 +28,12 @@ grad)`` at order 1, the only jet format that leaves this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
-from .jets import _ALL, NVARS, DomainError, Jet2, _axes, _index, _lift, _require, point_jets
+from .jets import _ALL, NVARS, Jet2, _axes, _index, _lift, _require, point_jets
 from .jets import reciprocal, sqrt
 
 __all__ = [
@@ -46,16 +45,15 @@ __all__ = [
 @dataclass(frozen=True)
 class Point:
     """A chart point, its coordinates as given (a floating dtype, such as np.longdouble, reaches every result);
-    construction enforces the domain conditions: finite coordinates and t > 0."""
+    construction enforces the domain conditions, finite coordinates and t > 0, as validated by ``_as_points``."""
 
     x: float
     y: float
     s: float
     t: float
 
-    def __post_init__(self):  # math.isfinite reads a float: a longdouble beyond its range falls back to np.isfinite
-        if not ((all(map(math.isfinite, q := self.astuple())) or np.isfinite(q).all()) and self.t > 0.0):
-            raise DomainError(f"chart requires finite coordinates and t > 0, got {self}")
+    def __post_init__(self):
+        _as_points(self)
 
     def __getitem__(self, k: int) -> float:
         return (self.x, self.y, self.s, self.t)[k]

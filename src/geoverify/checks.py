@@ -52,6 +52,7 @@ __all__ = ["ConfigError", "UnknownCheck", "Box", "RunConfig", "CheckReport", "CH
 _CHUNK = 1024  # rows evaluated together: bounds a check's memory, never changes its report
 _FAMILY_MARGIN = 1e-6  # nongradient: the closest member's grid defect, relative to the base member's
 _PHILOX = threading.local()  # the thread's one bit generator, made on first use
+_MAX_POINTS = np.iinfo(np.intp).max // 32  # the most points whose (points, 4) float64 draw numpy can size
 
 
 class ConfigError(Exception):
@@ -76,9 +77,9 @@ class Box:
     tmax: float = 2.0
 
     def validate(self):
-        for lo, hi in zip(self.lows(), self.highs()):
-            if not -math.inf < lo <= hi < math.inf:
-                raise ConfigError(f"sampling interval [{lo}, {hi}] must be finite and non-empty")
+        for lo, hi in zip(self.lows().tolist(), self.highs().tolist()):  # Python floats: a width that overflows is inf
+            if not (-math.inf < lo <= hi < math.inf and hi - lo < math.inf):
+                raise ConfigError(f"sampling interval [{lo}, {hi}] must be non-empty, with finite bounds and width")
         if not self.tmin > 0.0:
             raise ConfigError(f"sampling box must respect t > 0, got tmin = {self.tmin}")
 
@@ -98,10 +99,13 @@ class RunConfig:
     soliton_params: Optional[SolitonParams] = None
 
     def validate(self):
+        for name, value in (("seed", self.seed), ("points", self.points)):  # a float seed would run another's streams
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**32:  # the Philox key holds 32 bits of seed: a wider one would repeat a stream
             raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
-        if self.points < 1:
-            raise ConfigError(f"points must be >= 1, got {self.points}")
+        if not 1 <= self.points <= _MAX_POINTS:
+            raise ConfigError(f"points must be in [1, {_MAX_POINTS}], got {self.points}")
         if not 0.0 < self.tol < math.inf:
             raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         self.box.validate()
@@ -182,13 +186,14 @@ def _chunked(P: np.ndarray, block: Callable) -> list[_Claim]:
             exc.index += start
             raise
 
+    def join(arrays):  # one block's array as it is, with nothing to join
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
     def points(claim):  # a claim at every block's own rows shares P, not a copy of it per claim
         own = all(c.points is Q for c, Q in zip(claim, blocks))
-        return P if own else np.concatenate([c.points for c in claim])
+        return P if own else join([c.points for c in claim])
 
-    if len(parts) == 1:  # one block: its claims as they are, with nothing to join
-        return [c._replace(points=P) if c.points is blocks[0] else c for c in parts[0]]
-    return [_Claim(np.concatenate([c.residuals for c in claim]), points(claim), claim[0].margin) for claim in zip(*parts)]
+    return [_Claim(join([c.residuals for c in claim]), points(claim), claim[0].margin) for claim in zip(*parts)]
 
 
 def _stream(cfg: RunConfig, name: str) -> np.random.Generator:

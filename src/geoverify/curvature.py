@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .chart import Point, _in_four, frame_jets
+from .chart import _as_points, _in_four, frame_jets
 
 __all__ = [
     "frame_connection",
@@ -182,20 +182,17 @@ def _build(p) -> Geometry:
 
 
 @lru_cache(maxsize=256)
-def _geometry(p: Point, types: tuple) -> Geometry:
-    """One point's geometry, keyed on its coordinates' types too: a longdouble point equals a float64 one."""
-    return _build(p)
+def _geometry(coords: tuple, dtype: np.dtype) -> Geometry:
+    """One point's geometry, keyed on its validated array's values and dtype (longdouble padding is uninitialized)."""
+    return _build(np.array(coords, dtype))
 
 
 def geometry_at(p) -> Geometry:
-    """Geometry at one point (cached; treat the arrays as read-only) or at a (..., 4) batch of points."""
+    """Geometry at one point validated by ``_as_points`` (cached; treat its arrays as read-only) or at a batch."""
     if np.ndim(p) > 1:  # a check's batch is built once; a replay asks for one point's geometry several times
         return _build(p)
-    if not isinstance(p, Point):
-        if len(p) != 4:
-            raise ValueError(f"a chart point has 4 coordinates, got shape {np.shape(p)}")
-        p = Point(*p)
-    return _geometry(p, tuple(map(type, p.astuple())))
+    P = _as_points(p)
+    return _geometry(tuple(P.tolist()), P.dtype)
 
 
 def _nabla(geo: Geometry, val, grad) -> np.ndarray:

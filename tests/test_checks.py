@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -326,6 +327,34 @@ def test_seed_outside_32_bits_is_a_config_error(monkeypatch, capsys):
     assert low.passed and high.passed and low.witness_point != high.witness_point
 
 
+def test_what_cannot_run_is_a_config_error(tmp_path, capsys):
+    # a float seed would run its integer part's streams, a float count fails inside numpy, and a box width past
+    # float64's range, or a count whose (points, 4) draw numpy cannot size, fails at the draw
+    for cfg in (
+        RunConfig(seed=1.5),
+        RunConfig(seed=1.9),
+        RunConfig(seed=True),
+        RunConfig(points=2.5),
+        RunConfig(points=np.float64(3.0)),
+        RunConfig(points=True),
+        RunConfig(points=checks._MAX_POINTS + 1),
+        RunConfig(box=Box(xmin=-1e308, xmax=1e308)),
+    ):
+        with pytest.raises(ConfigError):
+            run_suite("lemma1", cfg)
+    kept = tmp_path / "r.jsonl"
+    kept.write_text("kept\n")
+    for args in (["--box=-1e308,1e308,-2,2,-2,2,0.5,2"], ["--points", "100000000000000000000"]):
+        assert main(["lemma1", *args, "--json", str(kept)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert kept.read_text() == "kept\n"
+    # numpy integers run the streams of the same Python integers, and the largest count numpy can size is valid
+    RunConfig(points=checks._MAX_POINTS).validate()
+    as_numpy = run_suite("lemma1", RunConfig(seed=np.uint32(1), points=np.int64(2)))
+    assert as_numpy.witness_point == run_suite("lemma1", RunConfig(seed=1, points=2)).witness_point
+
+
 def test_cli_custom_box(capsys):
     code = main(["lemma1", "--points", "3", "--box", "0,1,0,1,0,1,1,1.5"])
     assert code == 0
@@ -525,3 +554,41 @@ def test_the_witnesses_tensions_contract_arrays_with_the_batch_innermost(monkeyp
     for arrays in contracted:
         for a in arrays:
             assert a.shape[-3] == 100 and a.strides[-3] == a.itemsize, a.strides
+
+
+SEEDS = (0, 1, 2, 3, 4)
+# the off-box map at 20 points: for each box, the checks that fail and the seeds among 0-4 at which they fail; every
+# other check passes at all five.  A flag that moves changes this table only with its reason in CHANGES.md
+OFF_BOX = {
+    Box(tmin=0.001, tmax=0.01): dict.fromkeys(["corollary", "harmonic-map-witnesses", "nongradient"], SEEDS),
+    Box(-1000, 1000, -1000, 1000, -1000, 1000): dict.fromkeys(["harmonic-map-witnesses", "theorem3"], SEEDS),
+    Box(tmin=100, tmax=1000): {
+        **dict.fromkeys(["corollary", "harmonic-map-witnesses", "theorem3"], SEEDS),
+        "harmonic-components": (2, 3, 4),
+    },
+    Box(tmin=1e200, tmax=1e201): {c: SEEDS for c in CHECK_NAMES if c != "lemma1"},
+    Box(tmin=1e-200, tmax=1e-199): {c: SEEDS for c in CHECK_NAMES if c != "harmonic-components"},
+    Box(tmin=1e308, tmax=1.7e308): dict.fromkeys(CHECK_NAMES, SEEDS),
+    Box(tmin=1e-320, tmax=1e-319): dict.fromkeys(CHECK_NAMES, SEEDS),
+    Box(-1e7, 1e7, -1e7, 1e7, -1e7, 1e7): {
+        **{c: SEEDS for c in CHECK_NAMES if c not in ("lemma1", "harmonic-components")},
+        "harmonic-components": (0, 1, 2, 4),
+    },
+    Box(tmin=1e7, tmax=1e8): dict.fromkeys(
+        ["corollary", "harmonic-components", "harmonic-map-witnesses", "nongradient", "theorem1", "theorem3"], SEEDS
+    ),
+}
+
+
+def test_the_off_box_map():
+    with warnings.catch_warnings():  # far from the default box numpy overflows on the way to the failures it maps
+        warnings.simplefilter("ignore", RuntimeWarning)
+        passed = {
+            (box, seed, rep.check_name): rep.passed
+            for box in OFF_BOX
+            for seed in SEEDS
+            for rep in run_all(RunConfig(seed=seed, points=20, box=box))
+        }
+    for box, failing in OFF_BOX.items():
+        seeds = {c: tuple(seed for seed in SEEDS if not passed[box, seed, c]) for c in CHECK_NAMES}
+        assert {c: s for c, s in seeds.items() if s} == failing, box

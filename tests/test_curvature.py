@@ -122,6 +122,21 @@ def test_readers_return_copies_of_the_cached_arrays():
         assert geometry_at(Point(*np.array(q, dtype))).ric.dtype == dtype
 
 
+def test_one_point_in_any_form_shares_one_memo_entry():
+    # validated by _as_points and keyed on the array's values and dtype: a tuple, a Point, an array and a list of one
+    # point are one entry, and its longdouble forms a second, though a longdouble's padding bytes differ among them
+    q = (0.3, -0.7, 1.1, 0.9)
+    wide = np.array(q, np.longdouble)
+    curvature._geometry.cache_clear()
+    for forms in ((q, Point(*q), np.array(q), list(q)), (wide, Point(*wide), tuple(wide), list(wide))):
+        before = curvature._geometry.cache_info()
+        geos = [geometry_at(p) for p in forms]
+        after = curvature._geometry.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
+        assert all(geo is geos[0] for geo in geos)
+    assert curvature._geometry.cache_info().currsize == 2 and geos[0].ric.dtype == np.longdouble
+
+
 def test_connection_table_examples():
     p = Point(0.4, -0.8, 1.3, 0.9)
     fc = frame_connection(p)

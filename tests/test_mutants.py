@@ -69,14 +69,15 @@ def _rebased(base: SolitonParams):
     return mutate
 
 
-def _geometry_mapped(name: str, f):
-    """Wrap the geometry build so that its ``name`` array reads f of the true one.  Checks build batches, which the
-    single-point geometry cache never holds, so no cached geometry escapes the mutant."""
+def _geometry_formed(name: str, form):
+    """Wrap the geometry build so that its ``name`` array reads form(geo), a formula over the geometry's own arrays.
+    Checks build batches, which the single-point geometry cache never holds, so no cached geometry escapes the
+    mutant."""
 
     def mutate(build):
         def mutant(p):
             geo = build(p)
-            vars(geo)[name] = f(getattr(geo, name))  # where a cached_property keeps what it formed
+            vars(geo)[name] = form(geo)  # where a cached_property keeps what it formed
             return geo
 
         return mutant
@@ -84,8 +85,36 @@ def _geometry_mapped(name: str, f):
     return mutate
 
 
+def _geometry_mapped(name: str, f):
+    """The geometry's ``name`` array reads f of the true one."""
+    return _geometry_formed(name, lambda geo: f(getattr(geo, name)))
+
+
 def _geometry_scaled(name: str, factor: float):
     return _geometry_mapped(name, lambda a: a * factor)
+
+
+def _frame_derivative(geo):
+    """e_i(fc_jkl) = sum_a E_ia dfc_ajkl, over the live coordinates a."""
+    return np.einsum("...ia,...ajkl->...ijkl", geo.E[..., geo._live], geo._dfc)
+
+
+def _cartan_flipped(geo):
+    """Rfr by Cartan's equation with the sign of its e_i(fc) term flipped."""
+    A = -_frame_derivative(geo) + np.einsum("...jkm,...iml->...ijkl", geo.fc, geo.fc)
+    return A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", geo._c, geo.fc)
+
+
+def _ricci_with(weight: float):
+    """Ric with its e_i(fc) terms, e_i(tau_j) - sum_a e_a(fc_iaj), times ``weight``."""
+
+    def form(geo):
+        D = _frame_derivative(geo)
+        e = np.einsum("...iaaj->...ij", D) - np.einsum("...aiaj->...ij", D)
+        fc = geo.fc
+        return weight * e + np.einsum("...m,...imj->...ij", geo._tau, fc) + np.einsum("...mia,...amj->...ij", fc, fc)
+
+    return form
 
 
 def _tension_scaled(factor: float):
@@ -160,6 +189,26 @@ SURVIVORS = {
     # M's e_i(fc) trace term dropped: a batch's S = sum_i e_i(fc_ikj) comes from the traces P and Q of the structure
     # functions' derivatives, not from dfc; tests/test_gauge.py kills it on a twisted frame
     "S := 0": (curvature, "_build", _geometry_scaled("_S", 0.0), "S = 0 on F4's own frame, as dfc is"),
+    # the e_i(fc) terms of Cartan's equation and of Ricci, formed from the geometry's own fc, dfc, tau and c;
+    # tests/test_gauge.py kills each on its rotated frame, where dfc is not 0
+    "Cartan's e_i(fc) term sign-flipped": (
+        curvature,
+        "_build",
+        _geometry_formed("Rfr", _cartan_flipped),
+        "it multiplies dfc, which is 0 on F4's own frame",
+    ),
+    "Ricci's e_i(fc) terms sign-flipped": (
+        curvature,
+        "_build",
+        _geometry_formed("ric", _ricci_with(-1.0)),
+        "it multiplies dfc, which is 0 on F4's own frame",
+    ),
+    "Ricci's e_i(fc) terms dropped": (
+        curvature,
+        "_build",
+        _geometry_formed("ric", _ricci_with(0.0)),
+        "it multiplies dfc, which is 0 on F4's own frame",
+    ),
     # equivalent mutants: R_ijkl = R_klij, a true symmetry; v = -g^ab Gamma^c_ab, a coordinate vector that no choice of
     # frame changes
     "Rfr pair exchange": (
