@@ -24,6 +24,11 @@ the geometry-heavy part of a check then runs over blocks of ``_CHUNK``
 rows, building the geometry once per block and each field once over it,
 and each claim's residuals are joined across blocks in sampling order.
 So the block size bounds a check's memory but never changes its report.
+A field whose components share one closed form is evaluated once over a
+component axis: ``theorem3``'s four (s, t) quadratics lead with it, and
+move it last, so that their jets are the per-component jets bit for bit,
+with the batch innermost in memory; ``harmonic-components`` takes the
+soliton components and its t^2 control as the entries of one form.
 A domain error stops the check, which fails with a NaN ``max_residual``
 at the row it names.
 """
@@ -41,10 +46,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import _in_four, _jets, frame_field, metric_jets
+from .chart import _in_four, _jets, metric_jets
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily
-from .jets import DomainError, _require
+from .jets import DomainError, _moved, _require
 from .soliton import SolitonParams
 
 __all__ = ["ConfigError", "UnknownCheck", "Box", "RunConfig", "CheckReport", "CHECK_NAMES", "run_suite", "run_all"]
@@ -53,6 +58,8 @@ _CHUNK = 1024  # rows evaluated together: bounds a check's memory, never changes
 _FAMILY_MARGIN = 1e-6  # nongradient: the closest member's grid defect, relative to the base member's
 _PHILOX = threading.local()  # the thread's one bit generator, made on first use
 _MAX_POINTS = np.iinfo(np.intp).max // 32  # the most points whose (points, 4) float64 draw numpy can size
+_CURVATURE_TENSOR = tables.full_curvature_tensor()  # riemc's reference, expanded once
+_CURVATURE_TENSOR.setflags(write=False)
 
 
 class ConfigError(Exception):
@@ -232,7 +239,7 @@ def _params(cfg: RunConfig, name: str) -> tuple[np.ndarray, float]:
 
 def _worst(a: np.ndarray, axes: int) -> np.ndarray:
     """max |a| over the trailing ``axes`` axes: one value per point."""
-    return np.max(np.abs(a), axis=tuple(range(-axes, 0)))
+    return np.abs(a).max(axis=tuple(range(-axes, 0)))
 
 
 def _check_lemma1(cfg: RunConfig, P: np.ndarray):
@@ -242,15 +249,14 @@ def _check_lemma1(cfg: RunConfig, P: np.ndarray):
 def _check_lemma2(cfg: RunConfig, P: np.ndarray):
     def block(Q, _):
         ric = ricci_frame(Q)
-        scalar_err = np.abs(np.trace(ric, axis1=-2, axis2=-1) - tables.SCALAR_CURVATURE)
+        scalar_err = np.abs(ric.trace(axis1=-2, axis2=-1) - tables.SCALAR_CURVATURE)
         return [_zero(np.maximum(_worst(ric - tables.RICCI_FRAME, 2), scalar_err), Q)]
 
     return len(P), _chunked(P, block)
 
 
 def _check_riemc(cfg: RunConfig, P: np.ndarray):
-    table = tables.full_curvature_tensor()
-    return len(P), _chunked(P, lambda Q, _: [_zero(_worst(riemann_frame_table(Q) - table, 4), Q)])
+    return len(P), _chunked(P, lambda Q, _: [_zero(_worst(riemann_frame_table(Q) - _CURVATURE_TENSOR, 4), Q)])
 
 
 def _check_theorem1(cfg: RunConfig, P: np.ndarray):
@@ -280,12 +286,13 @@ def _check_nongradient(cfg: RunConfig, P: np.ndarray):
         _require(np.isfinite(D).all(axis=(0, 2)), "non-finite closedness defect")  # D[member, point, component]
     except DomainError as exc:  # a grid point left the domain, or no least squares over it means anything: fail there
         return len(P) + len(grid), claims + [_zero([math.nan], [grid[exc.index]])]
-    D = np.moveaxis(D, -1, 1) / max(np.max(np.abs(D)), np.finfo(D.dtype).tiny)  # scale-free; unscaled, squares overflow
+    scale = max(np.abs(D).max(), np.finfo(D.dtype).tiny)  # scale-free; unscaled, squares overflow
+    D = D.transpose(_moved(-1, 1, D.ndim)) / scale
     b, A = D[0].ravel(), (D[1:] - D[0]).reshape(5, -1).T
     d = A @ np.linalg.lstsq(A, -b, rcond=None)[0] + b  # the defect of c* at every grid point and component
     norm = np.linalg.norm(b)  # zero: the base member is closed, so the claim fails
     ratio = np.linalg.norm(d) / norm if norm else 0.0
-    witness = grid[np.argmax(np.max(np.abs(d.reshape(6, -1)), axis=0))]
+    witness = grid[np.argmax(np.abs(d.reshape(6, -1)).max(axis=0))]
     return len(P) + len(grid), claims + [_exceeds([ratio], [witness], _FAMILY_MARGIN)]
 
 
@@ -293,34 +300,27 @@ def _check_harmonic_components(cfg: RunConfig, P: np.ndarray):
     c, _ = _params(cfg, "harmonic-components")
 
     def block(Q, rows):
-        geo = geometry_at(Q)
-        _, grad, hess = soliton.soliton_field(SolitonParams(*c[rows].T)).component_jets(Q)
-        laplacians = soliton._scalar_laplacian(geo, grad, hess)  # one scalar Laplacian per component
-        # the control, through the same kernel: Lap(t^2) = 8 t^2, which a Laplacian that reads 0 everywhere misses
-        _, grad, hess = _jets(lambda x, y, s, t: (t * t,), Q)
-        control = soliton._scalar_laplacian(geo, grad, hess)[:, 0] - 8.0 * Q[:, 3] ** 2
-        return [_zero(_worst(laplacians, 1), Q), _zero(np.abs(control), Q)]
+        xi = soliton.soliton_field(SolitonParams(*c[rows].T))
+        # the four components, then the control t^2: Lap(t^2) = 8 t^2, which a Laplacian that reads 0 everywhere misses
+        _, grad, hess = _jets(lambda *q: (*(f(*q) for f in xi.components), q[3] * q[3]), Q)
+        laplacians = soliton._scalar_laplacian(geometry_at(Q), grad, hess)  # one scalar Laplacian per column
+        control = laplacians[:, 4] - 8.0 * Q[:, 3] ** 2
+        return [_zero(_worst(laplacians[:, :4], 1), Q), _zero(np.abs(control), Q)]
 
     return len(P), _chunked(P, block)
 
 
-def _polynomial_field(coeffs: np.ndarray):
-    """Frame field whose components are quadratic polynomials in (s, t); coeffs[..., k, :] for component k."""
-
-    def make(c):
-        return lambda x, y, s, t: (
-            c[..., 0] + c[..., 1] * s + c[..., 2] * t + c[..., 3] * s * s + c[..., 4] * s * t + c[..., 5] * t * t
-        )
-
-    return frame_field(*(make(coeffs[..., k, :]) for k in range(4)))
-
-
 def _check_theorem3(cfg: RunConfig, P: np.ndarray):
-    coeffs = _uniform(cfg, "theorem3/fields", -1.0, 1.0, (4, 6))
+    coeffs = _uniform(cfg, "theorem3/fields", -1.0, 1.0, (4, 6))  # point i's frame field: coeffs[i, component, term]
     weights = np.array([1.0, 1.0, 2.0, 2.0])
 
     def block(Q, rows):
-        val, grad, hess = _polynomial_field(coeffs[rows]).frame_component_jets(Q)
+        # c[term] is (component, point); a domain error's flat index over (component, row) is the row itself, since
+        # the first component's rows come first
+        c = coeffs[rows].T
+        quadratic = lambda x, y, s, t: c[0] + c[1] * s + c[2] * t + c[3] * s * s + c[4] * s * t + c[5] * t * t
+        jets = _jets(quadratic, np.broadcast_to(Q, (4, *Q.shape)))
+        val, grad, hess = (a.transpose(_moved(0, -1, a.ndim)) for a in jets)
         laplacian = harmonic._rough_laplacian(geometry_at(Q), val, grad, hess)
         return [_zero(_worst(laplacian - weights * harmonic._section_equations(Q[:, 3], val, grad, hess), 1), Q)]
 
@@ -352,7 +352,7 @@ def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
     def block(Q, rows):
         geo = geometry_at(Q)
         lap, (f, df), live = harmonic._stack(geo, coordinate, dirs, Q)
-        T, dT = (np.einsum("...l->l...", a)[dirs, ..., None] for a in geo.coframe)  # the directions' columns
+        T, dT = (a.transpose(_moved(-1, 0, a.ndim))[dirs, ..., None] for a in geo.coframe)  # the directions' columns
         mags = harmonic._tension(geo, *harmonic._apply((T, dT), (f, _in_four(df, live, (-2,)))), lap).max_component()
         # constant frame fields e1..e4, zero and k, the batch innermost: no gradient, so Lap X = X M
         k, val, grad = comp[rows], np.zeros((6, 4, len(Q))).transpose(0, 2, 1), np.zeros((4, 4, len(Q)))
@@ -375,7 +375,7 @@ def _check_coercivity(cfg: RunConfig, P: np.ndarray):
 
     def block(Q, rows):
         got = coercivity_check(Q[:, None], vs[rows], soliton.SOLITON_LAMBDA)  # (n, 1) meets (n, 10)
-        return [_zero(np.max(np.abs(got - 6.0 * (vs[rows, :, 0] ** 2 + vs[rows, :, 1] ** 2)), axis=-1), Q)]
+        return [_zero(np.abs(got - 6.0 * (vs[rows, :, 0] ** 2 + vs[rows, :, 1] ** 2)).max(axis=-1), Q)]
 
     return 10 * len(P), _chunked(P, block)
 

@@ -4,8 +4,10 @@ Prints one report per check (JSON lines by default, or human-readable
 summaries when the JSON goes to a file via ``--json``).  Exit code 0
 when every requested check passes, 1 when any fails, 2 on usage or
 configuration errors, an unwritable ``--json`` path among them, which
-are reported before any check runs.  ``GEOVERIFY_SEED`` supplies the
-seed when ``--seed`` is absent.
+are reported before any check runs, and on a point count that memory
+cannot hold.  An earlier ``--json`` file is replaced only once every
+report is in.  ``GEOVERIFY_SEED`` supplies the seed when ``--seed`` is
+absent.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def main(argv=None) -> int:
         cfg = _make_config(args)
         if args.check not in ("all", *CHECK_NAMES):
             raise UnknownCheck(f"unknown check {args.check!r}; known: {', '.join(CHECK_NAMES)}")
-        fh = None if args.json_path is None else open(args.json_path, "w")
+        fh = None if args.json_path is None else open(args.json_path, "a")  # writable, and not yet truncated
     except (ConfigError, UnknownCheck) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -95,7 +97,13 @@ def main(argv=None) -> int:
         print(f"error: cannot write {args.json_path}: {exc.strerror}", file=sys.stderr)
         return 2
     with fh or contextlib.nullcontext():
-        reports = run_all(cfg) if args.check == "all" else [run_suite(args.check, cfg)]
+        try:
+            reports = run_all(cfg) if args.check == "all" else [run_suite(args.check, cfg)]
+        except MemoryError as exc:
+            print(f"error: not enough memory for --points {cfg.points}: {exc}", file=sys.stderr)
+            return 2
+        if fh is not None:
+            fh.truncate(0)
         _emit(reports, fh)
     return 0 if all(rep.passed for rep in reports) else 1
 

@@ -40,6 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .chart import _as_points, _in_four, frame_jets
+from .jets import _moved
 
 __all__ = [
     "frame_connection",
@@ -107,13 +108,13 @@ class Geometry:
         (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self._coframe
         dD = np.einsum("...mia,...ajb->...mijb", dEL[..., live], dEL)
         dD += np.einsum("...ia,...majb->...mijb", self.E[..., live], d2EL)
-        dB = dD - np.swapaxes(dD, -3, -2)
+        dB = dD - dD.swapaxes(-3, -2)
         dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT)
         return _koszul(dc)
 
     @cached_property
     def G(self) -> np.ndarray:
-        return np.asfortranarray(np.swapaxes(self.E, -1, -2) @ self.E)  # the batch innermost, as in every other array
+        return np.asfortranarray(self.E.swapaxes(-1, -2) @ self.E)  # the batch innermost, as in every other array
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -141,8 +142,8 @@ class Geometry:
         P = np.einsum("...kb,...jb->...kj", U, T) + np.einsum("...mkb,...mjb->...kj", BE, dT)
         Y = np.einsum("...bka,...ajb->...kj", dL, dL) + np.einsum("...ka,...bajb->...kj", EL, d2EL[..., live])
         div = np.einsum("...im,...mib->...b", EL, dT)  # sum_i e_i(T_ib)
-        Q = Y - np.swapaxes(Y, -1, -2) + np.einsum("...kjb,...b->...kj", B, div)
-        return 0.5 * (P - np.swapaxes(P, -1, -2) - Q)
+        Q = Y - Y.swapaxes(-1, -2) + np.einsum("...kjb,...b->...kj", B, div)
+        return 0.5 * (P - P.swapaxes(-1, -2) - Q)
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -163,19 +164,19 @@ class Geometry:
         # A[i,j,k,l] = e_i(fc_jkl) + fc_jkm fc_iml = g(nabla_{e_i} nabla_{e_j} e_k, e_l) and [e_i, e_j] = c_ijm e_m
         fc, EL = self.fc, self.E[..., self._live]
         A = np.einsum("...ia,...ajkl->...ijkl", EL, self._dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
-        return A - np.swapaxes(A, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", self._c, fc)
+        return A - A.swapaxes(-4, -3) - np.einsum("...ijm,...mkl->...ijkl", self._c, fc)
 
 
 def _koszul(c):
     """fc[..., i,j,k] = (c_ijk - c_ikj - c_jki) / 2, for c or any derivative of it."""
-    return 0.5 * (c - np.einsum("...ikj->...ijk", c) - np.einsum("...jki->...ijk", c))
+    return 0.5 * (c - c.swapaxes(-1, -2) - c.transpose(_moved(-1, -3, c.ndim)))  # c_ikj and c_jki as views
 
 
 def _build(p) -> Geometry:
     (F, dF, d2F), live = frame_jets(p, coframe=True)  # entry axes (frame or coframe, row, coordinate slot)
     (E, dEL, d2EL), coframe = (tuple(a[..., k, :, :] for a in (F, dF, d2F)) for k in (0, 1))  # views, not copies
     D = np.einsum("...ia,...ajb->...ijb", E[..., live], dEL)  # D[i,j,b] = e_i(E_jb)
-    B = D - np.swapaxes(D, -3, -2)  # [e_i, e_j]^b
+    B = D - D.swapaxes(-3, -2)  # [e_i, e_j]^b
     c = np.einsum("...ijb,...kb->...ijk", B, coframe[0])
     fc, eE = _koszul(c), np.einsum("...iib->...b", D)
     return Geometry(E, coframe, fc, np.einsum("...iim->...m", fc), c, eE, live, (dEL, d2EL, B))
@@ -189,9 +190,9 @@ def _geometry(coords: tuple, dtype: np.dtype) -> Geometry:
 
 def geometry_at(p) -> Geometry:
     """Geometry at one point validated by ``_as_points`` (cached; treat its arrays as read-only) or at a batch."""
-    if np.ndim(p) > 1:  # a check's batch is built once; a replay asks for one point's geometry several times
-        return _build(p)
     P = _as_points(p)
+    if P.ndim > 1:  # a check's batch is built once; a replay asks for one point's geometry several times
+        return _build(P)
     return _geometry(tuple(P.tolist()), P.dtype)
 
 

@@ -46,6 +46,7 @@ import numpy as np
 
 from .chart import AnalyticVectorField, _apply, _as_points, _packed, coordinate_field
 from .curvature import _nabla, geometry_at
+from .jets import _moved
 from .soliton import _scalar_laplacian
 
 __all__ = [
@@ -87,7 +88,7 @@ class TensionValue:
 
     def max_component(self) -> float | np.ndarray:
         """Largest |component| of either part, per point."""
-        return np.maximum(np.max(np.abs(self.horizontal), axis=-1), np.max(np.abs(self.vertical), axis=-1))
+        return np.maximum(np.abs(self.horizontal).max(axis=-1), np.abs(self.vertical).max(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _coordinate_basis(geo, rows=slice(None)):
     derivative rows a in ``rows`` (all four by default), so that d_a X_l K[l, a, j] = g(nabla_{grad X_l} d_l, e_j); and
     L[l, ..., j] = g(Lap d_l, e_j) by the frame route of :func:`_rough_laplacian`, over the coframe jets' live rows and
     the matching blocks of G, v and C."""
-    live, (T, dTL, d2TL) = geo._live, (np.einsum("...l->l...", a) for a in geo._coframe)
+    live, (T, dTL, d2TL) = geo._live, (a.transpose(_moved(-1, 0, a.ndim)) for a in geo._coframe)
     G, C = geo.G[..., rows, live], geo.C[..., rows, :, :]
     K2 = np.einsum("...ab,l...bj->l...aj", 2 * G, dTL) + np.einsum("...akj,l...k->l...aj", C, T)
     op = _Operator(geo.G[..., live, live], geo.v[..., live], geo.C[..., live, :, :], geo.M)
@@ -152,7 +153,7 @@ def _field_data(X: AnalyticVectorField, p):
     if X.basis == "frame":
         return geo, own[0], own[1], _rough_laplacian(geo, *own)
     _, K2, L = _coordinate_basis(geo)
-    basis = geo.coframe[0], np.einsum("l...aj->...alj", K2), np.einsum("l...j->...lj", L)
+    basis = geo.coframe[0], *(a.transpose(_moved(0, -2, a.ndim)) for a in (K2, L))  # l behind the batch
     return (geo, *_apply(geo.coframe, own[:2]), _rough_laplacian(geo, *own, basis))
 
 
@@ -161,14 +162,14 @@ def _stack(geo, form, dirs, p):
     span of the variables its entries read: their rough Laplacians [m, ..., j], over those rows with the matching
     blocks of G, v and 2 K; the profiles' jets (f, df)[m, ..., 1] to first order, df on those rows; and the rows."""
     jets, rows = _packed(form, p)
-    f, df, d2f = (np.moveaxis(a, -2, 0) for a in jets)  # the member axis in front
+    f, df, d2f = (a.transpose(_moved(-2, 0, a.ndim)) for a in jets)  # the member axis in front
     T, K2, L = (A[list(dirs)] for A in _coordinate_basis(geo, rows))
     op = _Operator(geo.G[..., rows, rows], geo.v[..., rows], None, None)
     return _rough_laplacian(op, f, df, d2f, (T[..., None], K2[..., None, :], L[..., None, :])), (f, df), rows
 
 
 def _require_st_only(grad: np.ndarray):
-    worst = float(np.max(np.abs(grad[..., 0:2, :])))
+    worst = float(np.abs(grad[..., 0:2, :]).max())
     if not worst <= _ST_TOL:  # a NaN gradient fails too
         raise NotSTOnly(f"field components depend on x or y (gradient {worst:.3e})")
 
@@ -195,7 +196,8 @@ def _tension(geo, val, grad, lap) -> TensionValue:
 def _section_equations(t, val, grad, hess) -> np.ndarray:
     _require_st_only(grad)
     # component indices first: v[k], ds[k] = d/ds X_k, lap[k] = (d2/dt2 + d2/ds2) X_k
-    v, ds, lap = (np.moveaxis(a, -1, 0) for a in (val, grad[..., 2, :], hess[..., 3, 3, :] + hess[..., 2, 2, :]))
+    parts = val, grad[..., 2, :], hess[..., 3, 3, :] + hess[..., 2, 2, :]
+    v, ds, lap = (a.transpose(_moved(-1, 0, a.ndim)) for a in parts)
     eq1 = 4 * t * t * lap[0] + 4 * t * ds[1] - 3 * v[0]
     eq2 = 4 * t * t * lap[1] - 4 * t * ds[0] - 3 * v[1]
     eq3 = 2 * t * t * lap[2] - 4 * t * ds[3] - 3 * v[2]

@@ -54,7 +54,7 @@ class DomainError(ValueError):
 
 def _require(ok, what: str):
     """Raise :class:`DomainError` at the first flat index where the numpy boolean ``ok`` is False."""
-    if ok is not True and ok is not np.True_ and not np.all(ok):  # a scalar that holds needs no array reduction
+    if ok is not True and ok is not np.True_ and not ok.all():  # a scalar that holds needs no array reduction
         index = int(np.flatnonzero(~ok)[0])
         raise DomainError(f"{what} at batch index {index}", index)
 
@@ -143,6 +143,15 @@ class Jet2:
 def _axes(lead: int, ndim: int) -> tuple[int, ...]:
     """Transpose axes that move the trailing batch axes of an ``ndim``-axis array in front of its ``lead`` others."""
     return tuple(range(lead, ndim)) + tuple(range(lead))
+
+
+@functools.cache
+def _moved(source: int, destination: int, ndim: int) -> tuple[int, ...]:
+    """Transpose axes that move axis ``source`` of an ``ndim``-axis array to ``destination``, as ``np.moveaxis`` does
+    without its per-call argument handling, which costs more than the view it makes."""
+    order = [k for k in range(ndim) if k != source % ndim]
+    order.insert(destination % ndim, source % ndim)
+    return tuple(order)
 
 
 def _lift(J: np.ndarray, shape: tuple) -> np.ndarray:

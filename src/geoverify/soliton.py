@@ -94,7 +94,7 @@ def soliton_residual(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     """Ric + (1/2) L_xi g - lam g in the frame; zero iff (xi, lam) is a soliton at p."""
     geo = geometry_at(p)
     beta = _nabla(geo, *xi.frame_component_jets(p, geo.coframe, order=1))
-    return geo.ric + 0.5 * (beta + np.swapaxes(beta, -1, -2)) - lam * np.eye(4)
+    return geo.ric + 0.5 * (beta + beta.swapaxes(-1, -2)) - lam * np.eye(4)
 
 
 def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:

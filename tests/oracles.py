@@ -8,7 +8,8 @@ route to the Laplacian's coefficients, the soliton family's hand-written
 frame components the second route for the basis conversion, and the full
 four-row geometry and coordinate-basis contractions and the frame-Hessian
 rough Laplacian are the second routes for the live-direction contractions
-and the product-rule Laplacian.
+and the product-rule Laplacian, and the per-component quadratic field is
+the second route for ``theorem3``'s closed form over a component axis.
 """
 
 from __future__ import annotations
@@ -330,3 +331,15 @@ def frame_hessian_laplacian(X, P):
     """The rough Laplacian by the frame route, on frame-component jets converted to second order."""
     geo = geometry_at(P)
     return _rough_laplacian(geo, *X.frame_component_jets(P))
+
+
+def polynomial_field(coeffs: np.ndarray):
+    """Frame field whose components are quadratic polynomials in (s, t), coeffs[..., k, :] for component k: one closed
+    form per component, the reference for ``theorem3``'s one closed form over a leading component axis."""
+
+    def make(c):
+        return lambda x, y, s, t: (
+            c[..., 0] + c[..., 1] * s + c[..., 2] * t + c[..., 3] * s * s + c[..., 4] * s * t + c[..., 5] * t * t
+        )
+
+    return frame_field(*(make(coeffs[..., k, :]) for k in range(4)))

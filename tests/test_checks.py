@@ -30,6 +30,7 @@ from geoverify.checks import (
 from geoverify.cli import main
 from geoverify.jets import DomainError
 from geoverify.soliton import SolitonParams
+from oracles import polynomial_field
 
 FAST = RunConfig(seed=42, points=3)
 
@@ -355,6 +356,27 @@ def test_what_cannot_run_is_a_config_error(tmp_path, capsys):
     assert as_numpy.witness_point == run_suite("lemma1", RunConfig(seed=1, points=2)).witness_point
 
 
+def test_a_count_that_memory_cannot_hold_exits_2_and_keeps_an_earlier_report(tmp_path, monkeypatch, capsys):
+    # numpy sizes a (2**58 - 1, 4) draw but cannot allocate it: a MemoryError from the run, not a traceback, and the
+    # earlier report file stays as it was; the patched draw raises without allocating anything
+    def cannot_allocate(cfg, name):
+        raise MemoryError(f"Unable to allocate {cfg.points * 32} bytes")
+
+    monkeypatch.setattr(checks, "_sample_points", cannot_allocate)
+    kept = tmp_path / "r.jsonl"
+    kept.write_text("kept\n")
+    for check in ("lemma1", "all"):
+        assert main([check, "--points", str(checks._MAX_POINTS), "--json", str(kept)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: not enough memory for --points {checks._MAX_POINTS}: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert kept.read_text() == "kept\n"
+    # a run that completes replaces the earlier file by its reports alone
+    monkeypatch.undo()
+    assert main(["lemma1", "--points", "2", "--json", str(kept)]) == 0
+    assert [json.loads(line)["check_name"] for line in kept.read_text().splitlines()] == ["lemma1"]
+
+
 def test_cli_custom_box(capsys):
     code = main(["lemma1", "--points", "3", "--box", "0,1,0,1,0,1,1,1.5"])
     assert code == 0
@@ -487,6 +509,46 @@ def test_domain_error_in_a_block_names_the_checks_row(monkeypatch):
     assert blocks == [7, 7, 6]
     assert not rep.passed and np.isnan(rep.max_residual)
     assert rep.witness_point == tuple(_sample_points(cfg, "lemma1")[2 * 7 + 4])
+
+
+@pytest.mark.parametrize("points", [1, 7, 300])
+def test_theorem3s_component_axis_equals_its_per_component_fields_bit_for_bit(points, monkeypatch):
+    # theorem3 evaluates its four quadratics as one closed form over a leading component axis and moves that axis
+    # last: the jets its Laplacian reads equal those of four closed forms, one per component, in layout too
+    from geoverify import harmonic
+
+    seen, rough_laplacian = [], harmonic._rough_laplacian
+    record = lambda geo, *jets: seen.append(jets) or rough_laplacian(geo, *jets)
+    monkeypatch.setattr(harmonic, "_rough_laplacian", record)
+    cfg = RunConfig(points=points)
+    assert run_suite("theorem3", cfg).passed
+    (jets,) = seen
+    coeffs = _uniform(cfg, "theorem3/fields", -1.0, 1.0, (4, 6))
+    reference = polynomial_field(coeffs).frame_component_jets(_sample_points(cfg, "theorem3"))
+    for a, b in zip(jets, reference, strict=True):
+        assert _same_bits(a, b) and a.strides == b.strides
+        assert a.strides[0] == a.itemsize  # the batch innermost in memory
+
+
+def test_harmonic_components_takes_its_laplacians_and_control_from_one_evaluation(monkeypatch):
+    # the soliton field's four components and the control t^2 as one closed form, under one scalar Laplacian: equal,
+    # bit for bit, to the components' own evaluation and the control's beside it
+    from geoverify import soliton
+    from geoverify.chart import _jets
+    from geoverify.curvature import geometry_at
+
+    seen, scalar_laplacian = [], soliton._scalar_laplacian
+    monkeypatch.setattr(soliton, "_scalar_laplacian", lambda *args: seen.append(scalar_laplacian(*args)) or seen[-1])
+    for points in (1, 300):
+        seen.clear()
+        cfg = RunConfig(points=points)
+        assert run_suite("harmonic-components", cfg).passed
+        (merged,) = seen
+        P = _sample_points(cfg, "harmonic-components")
+        geo, c = geometry_at(P), checks._params(cfg, "harmonic-components")[0]
+        components = scalar_laplacian(geo, *soliton.soliton_field(SolitonParams(*c.T)).component_jets(P)[1:])
+        control = scalar_laplacian(geo, *_jets(lambda x, y, s, t: (t * t,), P)[1:])
+        assert _same_bits(merged[:, :4], components) and _same_bits(merged[:, 4], control[:, 0])
 
 
 def test_peak_memory_is_bounded_by_the_chunk():
