@@ -154,12 +154,12 @@ def _apply(A: _JetArrays, x: tuple) -> tuple:
 
 def metric_at(p) -> np.ndarray:
     """Coordinate metric matrix (4x4) at p."""
-    return metric_jets(p)[0]
+    return metric_jets(p, order=1)[0]
 
 
 def frame_matrix(p) -> np.ndarray:
     """Rows are the coordinate components of e1..e4 at p."""
-    return frame_jets(p)[0]
+    return _jets(_frames, p, order=1)[0][..., 0, :, :]
 
 
 def metric_jets(p, order: int = 2) -> _JetArrays:

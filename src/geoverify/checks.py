@@ -359,11 +359,12 @@ def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
         val[:4], val[5], grad = np.eye(4)[:, None], k, grad.transpose(2, 0, 1)
         const = harmonic._tension(geo, val, grad, np.einsum("...k,...kj->...j", val, geo.M))
         head = Q[: max(0, n_zero - rows.start)]  # the block's rows among the check's first ten
-        zero_res = const.max_component()[4, : len(head)]
+        const_mags = const.max_component()
+        zero_res = const_mags[4, : len(head)]
         # expanded quadratic identity for the last tension component
         t4, quad = const.horizontal[5, :, 3], 2 * k[:, 0] ** 2 + 2 * k[:, 1] ** 2 + 8 * k[:, 2] ** 2 + 8 * k[:, 3] ** 2
         # a witness at or below the margin would wrongly pass as a harmonic map
-        mags = np.concatenate([mags, const.max_component()[:4]])
+        mags = np.concatenate([mags, const_mags[:4]])
         return [_zero(zero_res, head)] + [_exceeds(m, Q) for m in mags] + [_zero(np.abs(t4 - quad), Q)]
 
     return n_zero + 12 * len(P) + len(P), _chunked(P, block)

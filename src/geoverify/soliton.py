@@ -124,20 +124,15 @@ def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
 # coordinate index pairs (a, b) for the six components of a two-form,
 # ordered (xy, xs, xt, ys, yt, st)
 COMPONENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _dual_one_form_jets(metric, xi: AnalyticVectorField, p):
-    """Value w[..., b] and gradient dw[..., m, b] of the metric dual w_b = g_ba xi^a, given metric jets of any order."""
-    g, dg = metric[:2]
-    v, dv = xi.coordinate_component_jets(p, order=1)
-    w = np.einsum("...ba,...a->...b", g, v)
-    return w, np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)
+_A, _B = np.array(COMPONENT_PAIRS).T  # the pairs' a and b as index arrays, built once
 
 
 def _closedness_defect(metric, xi: AnalyticVectorField, p) -> np.ndarray:
-    _, dw = _dual_one_form_jets(metric, xi, p)
-    a, b = np.array(COMPONENT_PAIRS).T
-    return dw[..., a, b] - dw[..., b, a]
+    """d_a w_b - d_b w_a of w_b = g_ba xi^a from its gradient dw[..., m, b], given first-order metric jets (g, dg)."""
+    g, dg = metric
+    v, dv = xi.coordinate_component_jets(p, order=1)
+    dw = np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)
+    return dw[..., _A, _B] - dw[..., _B, _A]
 
 
 def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:

@@ -8,8 +8,10 @@ route to the Laplacian's coefficients, the soliton family's hand-written
 frame components the second route for the basis conversion, and the full
 four-row geometry and coordinate-basis contractions and the frame-Hessian
 rough Laplacian are the second routes for the live-direction contractions
-and the product-rule Laplacian, and the per-component quadratic field is
-the second route for ``theorem3``'s closed form over a component axis.
+and the product-rule Laplacian, the per-component quadratic field is
+the second route for ``theorem3``'s closed form over a component axis, and
+the metric dual's jets are the two-step lowering that the closedness
+defect folds into one gradient.
 """
 
 from __future__ import annotations
@@ -343,3 +345,12 @@ def polynomial_field(coeffs: np.ndarray):
         )
 
     return frame_field(*(make(coeffs[..., k, :]) for k in range(4)))
+
+
+def dual_one_form_jets(metric, xi, p):
+    """Value w[..., b] and gradient dw[..., m, b] of the metric dual w_b = g_ba xi^a, from metric jets of any order and
+    the field's coordinate jets: the reference for ``soliton._closedness_defect``, which forms only dw."""
+    g, dg = metric[:2]
+    v, dv = xi.coordinate_component_jets(p, order=1)
+    w = np.einsum("...ba,...a->...b", g, v)
+    return w, np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)

@@ -63,6 +63,16 @@ def test_frame_reference_values():
     np.testing.assert_allclose(e[1], [1.0, 0.5, 0.0, 0.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("batch", [(), (7,), (300,)])
+def test_metric_and_frame_values_are_the_second_order_jets_values(batch, dtype):
+    # metric_at and frame_matrix evaluate first-order jets, in the point's dtype; compare values, since a longdouble's
+    # padding bytes are not part of its value
+    P = np.random.default_rng(23).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,)).astype(dtype)
+    for got, want in ((metric_at(P), metric_jets(P)[0]), (frame_matrix(P), frame_jets(P)[0])):
+        assert got.dtype == want.dtype == dtype and got.shape == batch + (4, 4) and np.array_equal(got, want)
+
+
 def test_frame_is_orthonormal():
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -3,15 +3,19 @@ import pytest
 
 from geoverify.chart import (
     Point,
+    constant_frame_field,
     coordinate_field,
     frame_field,
     frame_matrix,
     metric_jets,
 )
+from geoverify.checks import RunConfig
+from geoverify.jets import sqrt
 from geoverify.soliton import (
     SOLITON_LAMBDA,
+    COMPONENT_PAIRS,
     SolitonParams,
-    _dual_one_form_jets,
+    _closedness_defect,
     beta_matrix,
     closedness_defect,
     lie_derivative_metric,
@@ -21,8 +25,8 @@ from geoverify.soliton import (
     soliton_system,
 )
 
-from oracles import fd_laplace_beltrami, fd_lie_derivative_metric, rand_point, soliton_frame_components
-from oracles import tame_expression_at
+from oracles import dual_one_form_jets, fd_laplace_beltrami, fd_lie_derivative_metric, rand_point
+from oracles import soliton_frame_components, tame_expression_at
 
 
 def rand_params(rng) -> SolitonParams:
@@ -224,8 +228,41 @@ def test_dual_form_components():
     xi = soliton_field(SolitonParams(c3=1.0))
     p = Point(0.0, 0.0, 0.0, 1.0)
     # xi = -6x dx - 6y dy + y dx + ds at this point -> flat against g(0,0,0,1)
-    w = _dual_one_form_jets(metric_jets(p), xi, p)[0]
+    w = dual_one_form_jets(metric_jets(p), xi, p)[0]
     np.testing.assert_allclose(w, [0.0, 0.0, 0.25, 0.0], atol=1e-12)
+
+
+def test_closedness_kernel_is_the_antisymmetrized_gradient_of_the_dual_bit_for_bit():
+    # the one kernel forms dw without w; it must equal the two-step lowering's antisymmetric part in every byte, at a
+    # point, on a batch, and on nongradient's 5^4 grid over the default box, where one metric meets its six-member
+    # basis (c = 0, then each c_k = 1 alone) as a broadcast
+    rng = np.random.default_rng(36)
+    box = RunConfig().box
+    axes = [np.linspace(lo, hi, 5) for lo, hi in zip(box.lows(), box.highs())]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    basis = soliton_field(SolitonParams(*np.eye(6, 5, -1).T[..., None]))
+    q, P = Point(0.3, -1.2, 0.7, 1.3), rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (7, 4))
+    cases = [
+        (metric_jets(q, order=1), soliton_field(rand_params(rng)), q),
+        (metric_jets(P, order=1), soliton_field(SolitonParams(*rng.uniform(-3.0, 3.0, (5, 7)))), P),
+        (metric_jets(grid, order=1), basis, np.broadcast_to(grid, (6, *grid.shape))),
+    ]
+    a, b = np.array(COMPONENT_PAIRS).T
+    for metric, xi, p in cases:
+        dw = dual_one_form_jets(metric, xi, p)[1]
+        want, got = dw[..., a, b] - dw[..., b, a], _closedness_defect(metric, xi, p)
+        assert got.shape == want.shape == np.shape(p)[:-1] + (6,) and got.tobytes() == want.tobytes()
+
+
+def test_a_frame_fields_closedness_defect_is_its_coordinate_twins():
+    # e1 = sqrt(t) d/dx: the frame field converts to the coordinate field's jets, and so to its defect, exactly
+    e1 = constant_frame_field((1.0, 0.0, 0.0, 0.0))
+    twin = coordinate_field(lambda x, y, s, t: sqrt(t), *[lambda x, y, s, t: 0.0] * 3)
+    P = np.random.default_rng(37).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (7, 4))
+    for p in (Point(0.3, -1.2, 0.7, 1.3), P):
+        for got, want in zip(e1.coordinate_component_jets(p), twin.coordinate_component_jets(p)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(closedness_defect(e1, p), closedness_defect(twin, p))
 
 
 def test_gradient_obstruction_on_grid():
