@@ -133,10 +133,12 @@ def _jets(f: Callable, p, order: int = 2) -> _JetArrays:
     return _packed(f, p, order, dense=True)[0]  # the dense layout: exact zeros in the rows f does not read
 
 
-def _in_four(a: np.ndarray, rows: slice, axes: tuple) -> np.ndarray:
-    """a's rows, the span ``rows`` from :func:`_packed`, on its negative ``axes`` in all four, other rows zeros."""
-    out = np.zeros_like(a, shape=[NVARS if k - a.ndim in axes else n for k, n in enumerate(a.shape)])
-    out[(..., *[rows] * len(axes)) + (slice(None),) * (-1 - axes[-1])] = a
+def _in_span(a: np.ndarray, rows: slice, axis: int, span: slice = slice(0, NVARS)) -> np.ndarray:
+    """a's rows ``rows`` on its negative ``axis`` within ``span`` (default: all four), other rows zeros; a if equal."""
+    if rows == span:
+        return a
+    out = np.zeros_like(a, shape=[span.stop - span.start if k == a.ndim + axis else n for k, n in enumerate(a.shape)])
+    out[(..., slice(rows.start - span.start, rows.stop - span.start)) + (slice(None),) * (-1 - axis)] = a
     return out
 
 

@@ -28,7 +28,8 @@ A field whose components share one closed form is evaluated once over a
 component axis: ``theorem3``'s four (s, t) quadratics lead with it, and
 move it last, so that their jets are the per-component jets bit for bit,
 with the batch innermost in memory; ``harmonic-components`` takes the
-soliton components and its t^2 control as the entries of one form.
+soliton components and its t^2 control as the entries of one form, and
+the witnesses the families' span as eight basis profiles of one form.
 A domain error stops the check, which fails with a NaN ``max_residual``
 at the row it names.
 """
@@ -46,10 +47,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import harmonic, soliton, tables
-from .chart import _in_four, _jets, metric_jets
+from .chart import _in_span, _jets, metric_jets
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily
-from .jets import DomainError, _moved, _require
+from .jets import NVARS, DomainError, _moved, _require
 from .soliton import SolitonParams
 
 __all__ = ["ConfigError", "UnknownCheck", "Box", "RunConfig", "CheckReport", "CHECK_NAMES", "run_suite", "run_all"]
@@ -344,28 +345,27 @@ def _check_corollary(cfg: RunConfig, P: np.ndarray):
 
 def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
     comp = _uniform(cfg, "harmonic-map-witnesses/const", -2.0, 2.0, (4,))
-    # families 1-4 at (c1, c2) = (1, 0) and (0, 1), one stack of fields f d_l; then e1..e4 beside them
-    families = [CorollaryFamily(k, *c) for c in ((1.0, 0.0), (0.0, 1.0)) for k in (1, 2, 3, 4)]
-    coordinate, dirs = harmonic._form([harmonic._profile(fam) for fam in families]), [fam.index - 1 for fam in families]
-    n_zero = min(10, len(P))
+    # families 1-4 at (c1, c2) = (1, 0) and (0, 1), one stack of fields f d_l on the span's basis; then e1..e4 beside
+    coordinate, dirs, n_zero = harmonic._form(harmonic._BASIS), [0, 1, 2, 3] * 2, min(10, len(P))
 
     def block(Q, rows):
         geo = geometry_at(Q)
-        lap, (f, df), live = harmonic._stack(geo, coordinate, dirs, Q)
-        T, dT = (a.transpose(_moved(-1, 0, a.ndim))[dirs, ..., None] for a in geo.coframe)  # the directions' columns
-        mags = harmonic._tension(geo, *harmonic._apply((T, dT), (f, _in_four(df, live, (-2,)))), lap).max_component()
-        # constant frame fields e1..e4, zero and k, the batch innermost: no gradient, so Lap X = X M
-        k, val, grad = comp[rows], np.zeros((6, 4, len(Q))).transpose(0, 2, 1), np.zeros((4, 4, len(Q)))
-        val[:4], val[5], grad = np.eye(4)[:, None], k, grad.transpose(2, 0, 1)
-        const = harmonic._tension(geo, val, grad, np.einsum("...k,...kj->...j", val, geo.M))
-        head = Q[: max(0, n_zero - rows.start)]  # the block's rows among the check's first ten
-        const_mags = const.max_component()
-        zero_res = const_mags[4, : len(head)]
+        lap, (f, df), own = harmonic._stack(geo, coordinate, dirs, Q)
+        # frame jets th_j(d_l) f on the directions' columns, over one row span to t for _nabla: on F4 s and t alike
+        T, dT = (a.transpose(_moved(-1, 0, a.ndim))[dirs] for a in geo._coframe[:2])
+        span = slice(min(own.start, geo._live.start), NVARS)
+        df, dT = _in_span(df, own, -2, span), _in_span(dT, geo._live, -2, span)
+        mags = harmonic._tension(geo, T * f, dT * f[..., None] + T[..., None, :] * df, lap).max_component()
+        # constant fields e1..e4, zero and k, batch innermost (new empty arrays have no strides): no rows, Lap X = X M
+        k, val, grad = comp[rows], np.zeros((6, 4, len(Q))).transpose(0, 2, 1), np.zeros((1, 4, len(Q)))[:0]
+        val[:4], val[5] = np.eye(4)[:, None], k
+        const = harmonic._tension(geo, val, grad.transpose(2, 0, 1), np.einsum("...k,...kj->...j", val, geo.M))
+        head, const_mags = Q[: max(0, n_zero - rows.start)], const.max_component()  # head: rows among the first ten
         # expanded quadratic identity for the last tension component
         t4, quad = const.horizontal[5, :, 3], 2 * k[:, 0] ** 2 + 2 * k[:, 1] ** 2 + 8 * k[:, 2] ** 2 + 8 * k[:, 3] ** 2
         # a witness at or below the margin would wrongly pass as a harmonic map
-        mags = np.concatenate([mags, const_mags[:4]])
-        return [_zero(zero_res, head)] + [_exceeds(m, Q) for m in mags] + [_zero(np.abs(t4 - quad), Q)]
+        witnesses = [_exceeds(m, Q) for m in (*mags, *const_mags[:4])]
+        return [_zero(const_mags[4, : len(head)], head)] + witnesses + [_zero(np.abs(t4 - quad), Q)]
 
     return n_zero + 12 * len(P) + len(P), _chunked(P, block)
 

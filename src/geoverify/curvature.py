@@ -39,8 +39,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .chart import _as_points, _in_four, frame_jets
-from .jets import _moved
+from .chart import _as_points, _in_span, frame_jets
+from .jets import NVARS, _moved
 
 __all__ = [
     "frame_connection",
@@ -99,8 +99,7 @@ class Geometry:
 
     @cached_property
     def coframe(self) -> tuple[np.ndarray, np.ndarray]:  # dense, for converting a field's own jets to first order
-        (T, dT, _), live = self._coframe, self._live  # a point's jets are dense already: no copy
-        return (T, dT) if dT.shape[-3] == 4 else (T, _in_four(dT, live, (-3,)))
+        return self._coframe[0], _in_span(self._coframe[1], self._live, -3)  # a point's are dense already: no copy
 
     @cached_property
     def _dfc(self) -> np.ndarray:
@@ -123,6 +122,10 @@ class Geometry:
     @cached_property
     def C(self) -> np.ndarray:
         return 2 * np.einsum("...ia,...ikj->...akj", self.E, self.fc)
+
+    def _C(self, rows: slice) -> np.ndarray:  # C's rows alone, unless C is formed or all are asked for: the same bits
+        full = "C" in vars(self) or rows == slice(None)  # then from C, which is kept
+        return self.C[..., rows, :, :] if full else 2 * np.einsum("...ia,...ikj->...akj", self.E[..., rows], self.fc)
 
     @cached_property
     def _S(self) -> np.ndarray:
@@ -198,8 +201,9 @@ def geometry_at(p) -> Geometry:
 
 def _nabla(geo: Geometry, val, grad) -> np.ndarray:
     """A[..., i, j] = g(nabla_{e_i} X, e_j) from the frame-component jets val[..., k], grad[..., a, k] of X."""
+    E = geo.E if grad.shape[-2] == NVARS else geo.E[..., NVARS - grad.shape[-2] :]  # grad's rows: the chart's last
     # an einsum, not E @ grad: a matmul puts the batch outermost, which slows every sum over its result
-    return np.einsum("...ia,...ak->...ik", geo.E, grad) + np.einsum("...k,...ikj->...ij", val, geo.fc)
+    return np.einsum("...ia,...ak->...ik", E, grad) + np.einsum("...k,...ikj->...ij", val, geo.fc)
 
 
 def frame_connection(p) -> np.ndarray:

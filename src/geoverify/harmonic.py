@@ -69,6 +69,10 @@ EXPONENT_MINUS = 1.5 - math.sqrt(7.0) / 2.0
 
 _ST_TOL = 1e-12
 _Operator = namedtuple("_Operator", "G v C M")  # Laplacian coefficients, as a Geometry names them
+# the families' span, along d_x, d_y, d_s, d_t at (c1, c2) = (1, 0), then (0, 1): _profile's bits where they are finite
+_BASIS = [lambda x, y, s, t, power: 1.0] * 2 + [lambda x, y, s, t, power: power(EXPONENT_PLUS)] * 2
+_BASIS += [lambda x, y, s, t, power: t * t, lambda x, y, s, t, power: t * t / (s * s + t * t) ** 2]
+_BASIS += [lambda x, y, s, t, power: power(EXPONENT_MINUS)] * 2
 
 
 class NotSTOnly(ValueError):
@@ -139,9 +143,9 @@ def _coordinate_basis(geo, rows=slice(None)):
     L[l, ..., j] = g(Lap d_l, e_j) by the frame route of :func:`_rough_laplacian`, over the coframe jets' live rows and
     the matching blocks of G, v and C."""
     live, (T, dTL, d2TL) = geo._live, (a.transpose(_moved(-1, 0, a.ndim)) for a in geo._coframe)
-    G, C = geo.G[..., rows, live], geo.C[..., rows, :, :]
+    G, C = geo.G[..., rows, live], geo._C(rows)
     K2 = np.einsum("...ab,l...bj->l...aj", 2 * G, dTL) + np.einsum("...akj,l...k->l...aj", C, T)
-    op = _Operator(geo.G[..., live, live], geo.v[..., live], geo.C[..., live, :, :], geo.M)
+    op = _Operator(geo.G[..., live, live], geo.v[..., live], C if rows == live else geo._C(live), geo.M)
     return T, K2, _rough_laplacian(op, T, dTL, d2TL)
 
 
@@ -185,8 +189,8 @@ def _rough_laplacian(geo, val, grad, hess, basis=None) -> np.ndarray:
 
 
 def _horizontal_tension(geo, val, grad) -> np.ndarray:
-    A = _nabla(geo, val, grad)
-    return np.einsum("...ib,...bik->...k", A, np.einsum("...a,...abik->...bik", val, geo.Rfr))
+    A = _nabla(geo, val, grad)  # sum_i R(X, nabla_{e_i} X) e_i = X_a Y_ak, Y_ak = A_ib R_abik: 16 entries, not 64
+    return np.einsum("...a,...ak->...k", val, np.einsum("...ib,...abik->...ak", A, geo.Rfr))
 
 
 def _tension(geo, val, grad, lap) -> TensionValue:

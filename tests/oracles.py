@@ -11,7 +11,8 @@ rough Laplacian are the second routes for the live-direction contractions
 and the product-rule Laplacian, the per-component quadratic field is
 the second route for ``theorem3``'s closed form over a component axis, and
 the metric dual's jets are the two-step lowering that the closedness
-defect folds into one gradient.
+defect folds into one gradient, and the W-first horizontal tension is the
+contraction order that the tension kernel reverses.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import math
 
 import numpy as np
 
-from geoverify.chart import Point, _apply, _in_four, coframe_jets, coordinate_field, frame_field, frame_jets
+from geoverify.chart import Point, _apply, _in_span, coframe_jets, coordinate_field, frame_field, frame_jets
 from geoverify.chart import metric_jets
-from geoverify.curvature import geometry_at
+from geoverify.curvature import _nabla, geometry_at
 from geoverify.harmonic import CorollaryFamily, _form, _horizontal_tension, _profile, _rough_laplacian, _stack
 from geoverify.harmonic import corollary_field
 from geoverify.jets import sqrt
@@ -308,7 +309,7 @@ def stack_route(P, profiles, dirs):
     geo = geometry_at(P)
     lap, (f, df), rows = _stack(geo, _form(profiles), dirs, P)
     T, dT = (np.einsum("...l->l...", a)[dirs, ..., None] for a in geo.coframe[:2])
-    return lap, _horizontal_tension(geo, *_apply((T, dT), (f, _in_four(df, rows, (-2,)))))
+    return lap, _horizontal_tension(geo, *_apply((T, dT), (f, _in_span(df, rows, -2))))
 
 
 def as_field(f, l):
@@ -354,3 +355,10 @@ def dual_one_form_jets(metric, xi, p):
     v, dv = xi.coordinate_component_jets(p, order=1)
     w = np.einsum("...ba,...a->...b", g, v)
     return w, np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)
+
+
+def w_first_horizontal_tension(geo, val, grad):
+    """sum_i R(X, nabla_{e_i} X) e_i by way of W_bik = sum_a X_a R_abik, then sum_ib A_ib W_bik: the reference for
+    :func:`geoverify.harmonic._horizontal_tension`, which contracts nabla X with the curvature first."""
+    A = _nabla(geo, val, grad)
+    return np.einsum("...ib,...bik->...k", A, np.einsum("...a,...abik->...bik", val, geo.Rfr))

@@ -618,6 +618,25 @@ def test_the_witnesses_tensions_contract_arrays_with_the_batch_innermost(monkeyp
             assert a.shape[-3] == 100 and a.strides[-3] == a.itemsize, a.strides
 
 
+@pytest.mark.parametrize("points", [1, 7, 300])
+def test_the_witnesses_tensions_from_live_rows_equal_the_four_row_route(points, monkeypatch):
+    # the members' frame jets on the live rows and the constant fields' gradient with no rows give the tensions of
+    # the dense route bit for bit: _apply on the coframe's four rows, the profiles' rows embedded in all four, and a
+    # zero four-row gradient for the constants
+    from geoverify import harmonic
+    from oracles import stack_route
+
+    seen, tension = [], harmonic._tension
+    monkeypatch.setattr(harmonic, "_tension", lambda *args: seen.append((args, tension(*args))) or seen[-1][1])
+    cfg = RunConfig(points=points)
+    assert run_suite("harmonic-map-witnesses", cfg).passed
+    ((_, _, grad, _), got), ((geo, val, no_rows, _), const) = seen  # the coordinate stack, then the constant one
+    assert grad.shape[-2] == 2 and no_rows.shape[-2] == 0  # s and t; none
+    lap, ref = stack_route(_sample_points(cfg, "harmonic-map-witnesses"), harmonic._BASIS, [0, 1, 2, 3] * 2)
+    assert _same_bits(got.horizontal, ref) and _same_bits(got.vertical, lap)
+    assert _same_bits(const.horizontal, harmonic._horizontal_tension(geo, val, np.zeros((points, 4, 4))))
+
+
 SEEDS = (0, 1, 2, 3, 4)
 # the off-box map at 20 points: for each box, the checks that fail and the seeds among 0-4 at which they fail; every
 # other check passes at all five.  A flag that moves changes this table only with its reason in CHANGES.md

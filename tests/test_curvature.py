@@ -285,3 +285,23 @@ def test_first_reads_of_a_cached_geometry_race_safely():
     for run in runs:
         for got, ref in zip(run, serial):
             assert all(np.array_equal(got[n], r) for n, r in zip(names, ref))
+
+
+@pytest.mark.parametrize("batch", [None, (7,), (300,)])
+def test_c_over_a_row_slice_is_those_rows_of_the_four_row_contraction(batch):
+    rng = np.random.default_rng(64)
+    if batch is None:  # a point's build, not the cached geometry, whose C another test may have formed
+        P = np.asarray(rand_point(rng).astuple())
+    else:
+        P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    full = _build(P).C
+    for rows in (slice(2, 4), slice(0, 2), slice(1, 3), slice(3, 4), _build(P)._live):
+        geo = _build(P)  # C not yet formed: the rows alone
+        got = geo._C(rows)
+        assert "C" not in vars(geo)
+        want = full[..., rows, :, :]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), rows
+        assert geo.C[..., rows, :, :].tobytes() == got.tobytes()  # and the same bits once C is formed
+    geo = _build(P)
+    geo._C(slice(None))
+    assert "C" in vars(geo)  # all four rows form C itself, which is kept

@@ -19,7 +19,7 @@ from geoverify.harmonic import (
 )
 
 from oracles import as_field, four_row_coordinate_basis, frame_hessian_laplacian, product_rule_fields, rand_point
-from oracles import single_direction_stack, stack_route
+from oracles import single_direction_stack, stack_route, w_first_horizontal_tension
 
 
 def random_st_polynomial_field(rng):
@@ -286,3 +286,46 @@ def test_live_row_coordinate_basis_equals_the_four_row_contraction(batch):
     geo = geometry_at(P)
     for got, ref in zip(harmonic._coordinate_basis(geo), four_row_coordinate_basis(geo, P), strict=True):
         assert np.array_equal(got, ref)
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(1,), (7,), (300,)])
+def test_the_witnesses_basis_profiles_are_the_members_bit_for_bit(batch):
+    # 1 + 0 f = 1 and 0 + 1 f = f exactly, so the span's basis profiles are the members at (1, 0) and (0, 1)
+    P = np.random.default_rng(56).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], batch + (4,))
+    members = [harmonic._profile(CorollaryFamily(k, *c)) for c in ((1.0, 0.0), (0.0, 1.0)) for k in (1, 2, 3, 4)]
+    (basis, rows), (ref, ref_rows) = (chart._packed(harmonic._form(f), P) for f in (harmonic._BASIS, members))
+    assert rows == ref_rows == slice(2, 4)  # the stack's rows: s and t
+    for got, want in zip(basis, ref, strict=True):  # value, gradient and Hessian
+        assert _same_bits(got, want)
+
+
+def test_corollarys_profiles_keep_their_closed_forms():
+    P = np.random.default_rng(57).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (50, 4))
+    c1, c2 = np.random.default_rng(58).uniform(-3.0, 3.0, (2, 50))
+    written = [
+        lambda x, y, s, t, power: c1 + c2 * t * t,
+        lambda x, y, s, t, power: c1 + c2 * t * t / (s * s + t * t) ** 2,
+    ] + [lambda x, y, s, t, power: c1 * power(EXPONENT_PLUS) + c2 * power(EXPONENT_MINUS)] * 2
+    profiles = [harmonic._profile(CorollaryFamily(k, c1, c2)) for k in (1, 2, 3, 4)]
+    got, want = (chart._packed(harmonic._form(f), P)[0] for f in (profiles, written))
+    assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("where", ["point", (7,), (300,), "longdouble"])
+def test_the_tension_contracts_nabla_x_first_as_the_w_first_reference(where):
+    rng = np.random.default_rng(59)
+    if where == "point":
+        P = rand_point(rng)
+    elif where == "longdouble":
+        P = Point(*np.asarray(rand_point(rng).astuple(), np.longdouble))
+    else:
+        P = rng.uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], where + (4,))
+    for X in product_rule_fields(rng, () if isinstance(where, str) else where):
+        geo, val, grad, _ = harmonic._field_data(X, P)
+        got, ref = harmonic._horizontal_tension(geo, val, grad), w_first_horizontal_tension(geo, val, grad)
+        assert got.dtype == ref.dtype == (np.longdouble if where == "longdouble" else np.float64)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(got)), np.max(np.abs(ref)))
