@@ -33,7 +33,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .jets import _ALL, NVARS, Jet2, _axes, _index, _lift, _require, point_jets
+from .jets import _ALL, NVARS, Jet2, _axes, _einsum, _index, _lift, _require, point_jets
 from .jets import reciprocal, sqrt
 
 __all__ = [
@@ -145,13 +145,13 @@ def _in_span(a: np.ndarray, rows: slice, axis: int, span: slice = slice(0, NVARS
 def _apply(A: _JetArrays, x: tuple) -> tuple:
     """Jets of A @ x by the product rule, to the order of x's jets; hess's cross term is added to its transpose."""
     (a, da, *d2a), (v, dv, *d2v) = A, x
-    grad = np.einsum("...mij,...j->...mi", da, v) + np.einsum("...ij,...mj->...mi", a, dv)
+    grad = _einsum("...mij,...j->...mi", da, v) + _einsum("...ij,...mj->...mi", a, dv)
     if not d2v:
-        return np.einsum("...ij,...j->...i", a, v), grad
-    cross = np.einsum("...mij,...nj->...mni", da, dv)  # d_m A_ij d_n x_j
-    hess = np.einsum("...mnij,...j->...mni", d2a[0], v) + np.einsum("...ij,...mnj->...mni", a, d2v[0])
+        return _einsum("...ij,...j->...i", a, v), grad
+    cross = _einsum("...mij,...nj->...mni", da, dv)  # d_m A_ij d_n x_j
+    hess = _einsum("...mnij,...j->...mni", d2a[0], v) + _einsum("...ij,...mnj->...mni", a, d2v[0])
     hess += cross + np.swapaxes(cross, -3, -2)
-    return np.einsum("...ij,...j->...i", a, v), grad, hess
+    return _einsum("...ij,...j->...i", a, v), grad, hess
 
 
 def metric_at(p) -> np.ndarray:

@@ -50,7 +50,7 @@ from . import harmonic, soliton, tables
 from .chart import _in_span, _jets, metric_jets
 from .curvature import coercivity_check, frame_connection, geometry_at, ricci_frame, riemann_frame_table
 from .harmonic import CorollaryFamily
-from .jets import NVARS, DomainError, _moved, _require
+from .jets import NVARS, DomainError, _einsum, _moved, _require
 from .soliton import SolitonParams
 
 __all__ = ["ConfigError", "UnknownCheck", "Box", "RunConfig", "CheckReport", "CHECK_NAMES", "run_suite", "run_all"]
@@ -167,13 +167,13 @@ def _reduce(claims: Sequence[_Claim]) -> tuple[float, object, bool]:
         r = np.asarray(c.residuals, dtype=float)
         finite = np.isfinite(r)
         if not finite.all():  # the first non-finite residual decides the report
-            bad = int(np.argmin(finite))
+            bad = int(finite.argmin())
             return float(r[bad]), c.points[bad], False
         if c.margin is None:
-            i = len(r) - 1 - int(np.argmax(r[::-1]))  # the last maximum
+            i = len(r) - 1 - int(r[::-1].argmax())  # the last maximum
             value = float(r[i])
         else:
-            i = int(np.argmax(r))
+            i = int(r.argmax())
             if r[i] > c.margin:
                 continue
             value, held = 1.0, False  # 1.0 alone would pass under a tolerance above 1
@@ -359,7 +359,7 @@ def _check_harmonic_map_witnesses(cfg: RunConfig, P: np.ndarray):
         # constant fields e1..e4, zero and k, batch innermost (new empty arrays have no strides): no rows, Lap X = X M
         k, val, grad = comp[rows], np.zeros((6, 4, len(Q))).transpose(0, 2, 1), np.zeros((1, 4, len(Q)))[:0]
         val[:4], val[5] = np.eye(4)[:, None], k
-        const = harmonic._tension(geo, val, grad.transpose(2, 0, 1), np.einsum("...k,...kj->...j", val, geo.M))
+        const = harmonic._tension(geo, val, grad.transpose(2, 0, 1), _einsum("...k,...kj->...j", val, geo.M))
         head, const_mags = Q[: max(0, n_zero - rows.start)], const.max_component()  # head: rows among the first ten
         # expanded quadratic identity for the last tension component
         t4, quad = const.horizontal[5, :, 3], 2 * k[:, 0] ** 2 + 2 * k[:, 1] ** 2 + 8 * k[:, 2] ** 2 + 8 * k[:, 3] ** 2

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .chart import _as_points, _in_span, frame_jets
-from .jets import NVARS, _moved
+from .jets import NVARS, _einsum, _moved
 
 __all__ = [
     "frame_connection",
@@ -105,10 +105,10 @@ class Geometry:
     def _dfc(self) -> np.ndarray:
         """dfc[..., m,i,j,k] = d_m fc_ijk for the live coordinates m, by way of dD = d_m e_i(E_jb), dB and dc."""
         (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self._coframe
-        dD = np.einsum("...mia,...ajb->...mijb", dEL[..., live], dEL)
-        dD += np.einsum("...ia,...majb->...mijb", self.E[..., live], d2EL)
+        dD = _einsum("...mia,...ajb->...mijb", dEL[..., live], dEL)
+        dD += _einsum("...ia,...majb->...mijb", self.E[..., live], d2EL)
         dB = dD - dD.swapaxes(-3, -2)
-        dc = np.einsum("...mijb,...kb->...mijk", dB, T) + np.einsum("...ijb,...mkb->...mijk", B, dT)
+        dc = _einsum("...mijb,...kb->...mijk", dB, T) + _einsum("...ijb,...mkb->...mijk", B, dT)
         return _koszul(dc)
 
     @cached_property
@@ -117,15 +117,15 @@ class Geometry:
 
     @cached_property
     def v(self) -> np.ndarray:
-        return self._eE - np.einsum("...m,...mb->...b", self._tau, self.E)
+        return self._eE - _einsum("...m,...mb->...b", self._tau, self.E)
 
     @cached_property
     def C(self) -> np.ndarray:
-        return 2 * np.einsum("...ia,...ikj->...akj", self.E, self.fc)
+        return 2 * _einsum("...ia,...ikj->...akj", self.E, self.fc)
 
     def _C(self, rows: slice) -> np.ndarray:  # C's rows alone, unless C is formed or all are asked for: the same bits
         full = "C" in vars(self) or rows == slice(None)  # then from C, which is kept
-        return self.C[..., rows, :, :] if full else 2 * np.einsum("...ia,...ikj->...akj", self.E[..., rows], self.fc)
+        return self.C[..., rows, :, :] if full else 2 * _einsum("...ia,...ikj->...akj", self.E[..., rows], self.fc)
 
     @cached_property
     def _S(self) -> np.ndarray:
@@ -133,41 +133,41 @@ class Geometry:
         (dEL, d2EL, B), live, (T, dT, _) = self._stage2, self._live, self._coframe
         EL = self.E[..., live]
         if self.E.ndim == 2:  # a point: one einsum over the dfc that its Ricci and curvature table read too
-            return np.einsum("...ia,...aikj->...kj", EL, self._dfc)
+            return _einsum("...ia,...aikj->...kj", EL, self._dfc)
         # G's live block, not sum_i E_im E_ia inside the sum: cheaper, and non-finite only where G overflows (t past
         # about 1e154), which M's readers read
         dL, G = dEL[..., live], self.G[..., live, live]
-        H = np.einsum("...im,...aib->...mab", EL, dEL)  # sum_i E_im d_a E_ib
-        Z = np.einsum("...im,...maib->...ab", EL, d2EL)  # sum_i e_i(d_a E_ib)
-        U = np.einsum("...a,...akb->...kb", self._eE[..., live], dEL) + np.einsum("...ma,...makb->...kb", G, d2EL)
-        U -= np.einsum("...mka,...mab->...kb", dL, H) + np.einsum("...ka,...ab->...kb", EL, Z)
-        BE = np.einsum("...ikb,...im->...mkb", B, EL)  # sum_i B_ikb e_i = sum_m BE_mkb d_m
-        P = np.einsum("...kb,...jb->...kj", U, T) + np.einsum("...mkb,...mjb->...kj", BE, dT)
-        Y = np.einsum("...bka,...ajb->...kj", dL, dL) + np.einsum("...ka,...bajb->...kj", EL, d2EL[..., live])
-        div = np.einsum("...im,...mib->...b", EL, dT)  # sum_i e_i(T_ib)
-        Q = Y - Y.swapaxes(-1, -2) + np.einsum("...kjb,...b->...kj", B, div)
+        H = _einsum("...im,...aib->...mab", EL, dEL)  # sum_i E_im d_a E_ib
+        Z = _einsum("...im,...maib->...ab", EL, d2EL)  # sum_i e_i(d_a E_ib)
+        U = _einsum("...a,...akb->...kb", self._eE[..., live], dEL) + _einsum("...ma,...makb->...kb", G, d2EL)
+        U -= _einsum("...mka,...mab->...kb", dL, H) + _einsum("...ka,...ab->...kb", EL, Z)
+        BE = _einsum("...ikb,...im->...mkb", B, EL)  # sum_i B_ikb e_i = sum_m BE_mkb d_m
+        P = _einsum("...kb,...jb->...kj", U, T) + _einsum("...mkb,...mjb->...kj", BE, dT)
+        Y = _einsum("...bka,...ajb->...kj", dL, dL) + _einsum("...ka,...bajb->...kj", EL, d2EL[..., live])
+        div = _einsum("...im,...mib->...b", EL, dT)  # sum_i e_i(T_ib)
+        Q = Y - Y.swapaxes(-1, -2) + _einsum("...kjb,...b->...kj", B, div)
         return 0.5 * (P - P.swapaxes(-1, -2) - Q)
 
     @cached_property
     def M(self) -> np.ndarray:
-        M = self._S + np.einsum("...ikm,...imj->...kj", self.fc, self.fc)
-        M -= np.einsum("...m,...mkj->...kj", self._tau, self.fc)
+        M = self._S + _einsum("...ikm,...imj->...kj", self.fc, self.fc)
+        M -= _einsum("...m,...mkj->...kj", self._tau, self.fc)
         return M
 
     @cached_property
     def ric(self) -> np.ndarray:
         # Rfr_iaaj in one pass, with fc_iam + c_ima = -fc_mia, since fc_ijk = -fc_ikj and c_ima = fc_ima - fc_mia
         fc, EL, dfc = self.fc, self.E[..., self._live], self._dfc
-        e = np.einsum("...im,...maaj->...ij", EL, dfc) - np.einsum("...am,...miaj->...ij", EL, dfc)
-        return e + np.einsum("...m,...imj->...ij", self._tau, fc) + np.einsum("...mia,...amj->...ij", fc, fc)
+        e = _einsum("...im,...maaj->...ij", EL, dfc) - _einsum("...am,...miaj->...ij", EL, dfc)
+        return e + _einsum("...m,...imj->...ij", self._tau, fc) + _einsum("...mia,...amj->...ij", fc, fc)
 
     @cached_property
     def Rfr(self) -> np.ndarray:
         # Cartan: Rfr_ijkl = e_i(fc_jkl) - e_j(fc_ikl) + fc_jkm fc_iml - fc_ikm fc_jml - c_ijm fc_mkl, where
         # A[i,j,k,l] = e_i(fc_jkl) + fc_jkm fc_iml = g(nabla_{e_i} nabla_{e_j} e_k, e_l) and [e_i, e_j] = c_ijm e_m
         fc, EL = self.fc, self.E[..., self._live]
-        A = np.einsum("...ia,...ajkl->...ijkl", EL, self._dfc) + np.einsum("...jkm,...iml->...ijkl", fc, fc)
-        return A - A.swapaxes(-4, -3) - np.einsum("...ijm,...mkl->...ijkl", self._c, fc)
+        A = _einsum("...ia,...ajkl->...ijkl", EL, self._dfc) + _einsum("...jkm,...iml->...ijkl", fc, fc)
+        return A - A.swapaxes(-4, -3) - _einsum("...ijm,...mkl->...ijkl", self._c, fc)
 
 
 def _koszul(c):
@@ -178,11 +178,11 @@ def _koszul(c):
 def _build(p) -> Geometry:
     (F, dF, d2F), live = frame_jets(p, coframe=True)  # entry axes (frame or coframe, row, coordinate slot)
     (E, dEL, d2EL), coframe = (tuple(a[..., k, :, :] for a in (F, dF, d2F)) for k in (0, 1))  # views, not copies
-    D = np.einsum("...ia,...ajb->...ijb", E[..., live], dEL)  # D[i,j,b] = e_i(E_jb)
+    D = _einsum("...ia,...ajb->...ijb", E[..., live], dEL)  # D[i,j,b] = e_i(E_jb)
     B = D - D.swapaxes(-3, -2)  # [e_i, e_j]^b
-    c = np.einsum("...ijb,...kb->...ijk", B, coframe[0])
-    fc, eE = _koszul(c), np.einsum("...iib->...b", D)
-    return Geometry(E, coframe, fc, np.einsum("...iim->...m", fc), c, eE, live, (dEL, d2EL, B))
+    c = _einsum("...ijb,...kb->...ijk", B, coframe[0])
+    fc, eE = _koszul(c), _einsum("...iib->...b", D)
+    return Geometry(E, coframe, fc, _einsum("...iim->...m", fc), c, eE, live, (dEL, d2EL, B))
 
 
 @lru_cache(maxsize=256)
@@ -193,17 +193,15 @@ def _geometry(coords: tuple, dtype: np.dtype) -> Geometry:
 
 def geometry_at(p) -> Geometry:
     """Geometry at one point validated by ``_as_points`` (cached; treat its arrays as read-only) or at a batch."""
-    P = _as_points(p)
-    if P.ndim > 1:  # a check's batch is built once; a replay asks for one point's geometry several times
-        return _build(P)
-    return _geometry(tuple(P.tolist()), P.dtype)
+    P = p if isinstance(p, np.ndarray) and p.ndim > 1 else _as_points(p)  # _build's frame_jets validates a batch
+    return _build(P) if P.ndim > 1 else _geometry(tuple(P.tolist()), P.dtype)  # replays ask for a point repeatedly
 
 
 def _nabla(geo: Geometry, val, grad) -> np.ndarray:
     """A[..., i, j] = g(nabla_{e_i} X, e_j) from the frame-component jets val[..., k], grad[..., a, k] of X."""
     E = geo.E if grad.shape[-2] == NVARS else geo.E[..., NVARS - grad.shape[-2] :]  # grad's rows: the chart's last
     # an einsum, not E @ grad: a matmul puts the batch outermost, which slows every sum over its result
-    return np.einsum("...ia,...ak->...ik", E, grad) + np.einsum("...k,...ikj->...ij", val, geo.fc)
+    return _einsum("...ia,...ak->...ik", E, grad) + _einsum("...k,...ikj->...ij", val, geo.fc)
 
 
 def frame_connection(p) -> np.ndarray:
@@ -235,5 +233,5 @@ def scalar_curvature(p) -> float | np.ndarray:
 
 def coercivity_check(p, v, lam: float) -> float | np.ndarray:
     """Ric(v, v) - lam * g(v, v) for the frame components v[..., i] of a vector at p."""
-    quadratic = np.einsum("...i,...ij,...j->...", v, geometry_at(p).ric, v)
-    return quadratic - lam * np.einsum("...i,...i->...", v, v)
+    quadratic = _einsum("...i,...ij,...j->...", v, geometry_at(p).ric, v)
+    return quadratic - lam * _einsum("...i,...i->...", v, v)

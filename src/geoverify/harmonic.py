@@ -46,7 +46,7 @@ import numpy as np
 
 from .chart import AnalyticVectorField, _apply, _as_points, _packed, coordinate_field
 from .curvature import _nabla, geometry_at
-from .jets import _moved
+from .jets import _einsum, _moved
 from .soliton import _scalar_laplacian
 
 __all__ = [
@@ -144,7 +144,7 @@ def _coordinate_basis(geo, rows=slice(None)):
     the matching blocks of G, v and C."""
     live, (T, dTL, d2TL) = geo._live, (a.transpose(_moved(-1, 0, a.ndim)) for a in geo._coframe)
     G, C = geo.G[..., rows, live], geo._C(rows)
-    K2 = np.einsum("...ab,l...bj->l...aj", 2 * G, dTL) + np.einsum("...akj,l...k->l...aj", C, T)
+    K2 = _einsum("...ab,l...bj->l...aj", 2 * G, dTL) + _einsum("...akj,l...k->l...aj", C, T)
     op = _Operator(geo.G[..., live, live], geo.v[..., live], C if rows == live else geo._C(live), geo.M)
     return T, K2, _rough_laplacian(op, T, dTL, d2TL)
 
@@ -184,13 +184,13 @@ def _rough_laplacian(geo, val, grad, hess, basis=None) -> np.ndarray:
     Lap(X_l d_l) = (Lap X_l) d_l + 2 nabla_{grad X_l} d_l + X_l Lap d_l."""
     T, C, M = basis or (None, geo.C, geo.M)
     lap = _scalar_laplacian(geo, grad, hess)  # each component's
-    lap = lap if T is None else np.einsum("...jl,...l->...j", T, lap)
-    return lap + np.einsum("...akj,...ak->...j", C, grad) + np.einsum("...k,...kj->...j", val, M)
+    lap = lap if T is None else _einsum("...jl,...l->...j", T, lap)
+    return lap + _einsum("...akj,...ak->...j", C, grad) + _einsum("...k,...kj->...j", val, M)
 
 
 def _horizontal_tension(geo, val, grad) -> np.ndarray:
     A = _nabla(geo, val, grad)  # sum_i R(X, nabla_{e_i} X) e_i = X_a Y_ak, Y_ak = A_ib R_abik: 16 entries, not 64
-    return np.einsum("...a,...ak->...k", val, np.einsum("...ib,...abik->...ak", A, geo.Rfr))
+    return _einsum("...a,...ak->...k", val, _einsum("...ib,...abik->...ak", A, geo.Rfr))
 
 
 def _tension(geo, val, grad, lap) -> TensionValue:

@@ -25,6 +25,10 @@ Expressions are ordinary Python callables written with ``+ - * / **``
 and :func:`sqrt`; evaluated on floats they return floats, evaluated on
 seeded jets they return the full 2-jet.  A constant in an expression is
 a float or an ndarray of the batch shape (one value per point).
+
+Every kernel contracts with ``_einsum``: numpy's C einsum, which ``np.einsum``
+calls when ``optimize`` is off, bound once to skip ``np.einsum``'s Python
+dispatch (about 0.7 us of a 2.2 us contraction at one point).
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ NSLOTS = 1 + NVARS + NVARS * NVARS  # value, gradient, row-major Hessian
 _SLOTS = {1: 1 + NVARS, 2: NSLOTS}  # packed slots of a dense jet of each order
 _GRAD, _HESS, _SQUARE = slice(1, 1 + NVARS), slice(1 + NVARS, NSLOTS), (NVARS, NVARS)
 _ALL, _OWN = tuple(range(NVARS)), tuple((k,) for k in range(NVARS))  # a dense jet's variables; a coordinate's own
+try:  # the same function and bits as np.einsum(..., optimize=False)
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x names the module numpy.core, whose import warns under numpy 2
+    _einsum = np.einsum
 
 __all__ = ["DomainError", "Jet2", "point_jets", "sqrt", "reciprocal"]
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .chart import AnalyticVectorField, _jets, coordinate_field, metric_jets
 from .curvature import _nabla, geometry_at
+from .jets import _einsum
 
 __all__ = [
     "SolitonParams",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 SOLITON_LAMBDA = -6.0
+_EYE = np.eye(4)  # soliton_residual's lam g in the frame, built once
+_EYE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def soliton_residual(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
     """Ric + (1/2) L_xi g - lam g in the frame; zero iff (xi, lam) is a soliton at p."""
     geo = geometry_at(p)
     beta = _nabla(geo, *xi.frame_component_jets(p, geo.coframe, order=1))
-    return geo.ric + 0.5 * (beta + beta.swapaxes(-1, -2)) - lam * np.eye(4)
+    return geo.ric + 0.5 * (beta + beta.swapaxes(-1, -2)) - lam * _EYE
 
 
 def soliton_system(xi: AnalyticVectorField, lam: float, p) -> np.ndarray:
@@ -131,7 +134,7 @@ def _closedness_defect(metric, xi: AnalyticVectorField, p) -> np.ndarray:
     """d_a w_b - d_b w_a of w_b = g_ba xi^a from its gradient dw[..., m, b], given first-order metric jets (g, dg)."""
     g, dg = metric
     v, dv = xi.coordinate_component_jets(p, order=1)
-    dw = np.einsum("...mba,...a->...mb", dg, v) + np.einsum("...ma,...ba->...mb", dv, g)
+    dw = _einsum("...mba,...a->...mb", dg, v) + _einsum("...ma,...ba->...mb", dv, g)
     return dw[..., _A, _B] - dw[..., _B, _A]
 
 
@@ -146,7 +149,7 @@ def closedness_defect(xi: AnalyticVectorField, p) -> np.ndarray:
 
 def _scalar_laplacian(geo, grad, hess) -> np.ndarray:
     """G_ab d_a d_b f_k + v_b d_b f_k from the jets grad[..., a, k], hess[..., a, b, k] of the f_k (see Geometry)."""
-    return np.einsum("...ab,...abk->...k", geo.G, hess) + np.einsum("...b,...bk->...k", geo.v, grad)
+    return _einsum("...ab,...abk->...k", geo.G, hess) + _einsum("...b,...bk->...k", geo.v, grad)
 
 
 def scalar_laplacian(f, p) -> float | np.ndarray:

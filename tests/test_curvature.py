@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geoverify import curvature
+from geoverify import chart, curvature
 from geoverify.chart import Point, frame_jets
 from geoverify.curvature import (
     _build,
@@ -305,3 +305,15 @@ def test_c_over_a_row_slice_is_those_rows_of_the_four_row_contraction(batch):
     geo = _build(P)
     geo._C(slice(None))
     assert "C" in vars(geo)  # all four rows form C itself, which is kept
+
+
+def test_a_batch_geometry_validates_its_points_once(monkeypatch):
+    calls, as_points = [], chart._as_points
+    for module in (chart, curvature):
+        monkeypatch.setattr(module, "_as_points", lambda p: calls.append(np.shape(p)) or as_points(p))
+    P = np.random.default_rng(65).uniform([-2.0, -2.0, -2.0, 0.5], [2.0, 2.0, 2.0, 2.0], (7, 4))
+    assert geometry_at(P).E.shape == (7, 4, 4)
+    assert calls == [(7, 4)]  # by _build's frame_jets alone
+    P[3, 3] = -1.0
+    with pytest.raises(DomainError, match="batch index 3"):
+        geometry_at(P)
